@@ -20,7 +20,6 @@
 #include "core/checkpoint.h"
 #include "core/durable.h"
 #include "core/evaluation.h"
-#include "core/inference.h"
 #include "core/ingest.h"
 #include "core/observe.h"
 #include "core/pipeline.h"
@@ -146,7 +145,8 @@ void print_usage(std::ostream& out) {
          "             --dataset FILE --ipmap FILE --checkpoint-dir DIR\n"
          "             [--worker-id N] [--lease-ttl-ms MS] [--ship-metrics]\n"
          "  predict    predict the next attack per target (fits on the fly\n"
-         "             from --dataset/--ipmap, or loads --model FILE)\n"
+         "             from --dataset/--ipmap, or loads --model FILE: a\n"
+         "             framed model.art or a packed .armm)\n"
          "             [--dataset FILE --ipmap FILE | --model FILE]\n"
          "             [--target ASN] [--top K] [--fit-report FILE|-]\n"
          "             [--precision f64|f32]\n"
@@ -176,7 +176,6 @@ void print_usage(std::ostream& out) {
          "             --dataset FILE --ipmap FILE [--train-fraction F]\n"
          "             [--horizons F1,F2,...] [--out FILE]\n"
          "             [--checkpoint-dir DIR] [--resume]\n"
-         "             [--precision f64|f32]\n"
          "             --scenario NAME: self-contained per-scenario\n"
          "             predictability table (three models vs naive\n"
          "             baselines; generates the preset world in memory,\n"
@@ -185,8 +184,8 @@ void print_usage(std::ostream& out) {
          "  help       this message\n"
          "\n"
          "performance (any command; see DESIGN.md §6):\n"
-         "  --precision f32  serve predictions from a float32 inference view\n"
-         "                   (predict/evaluate; f64 models stay the default)\n"
+         "  --precision f32  answer from the model artifact's float32\n"
+         "                   sections (predict/query; f64 stays the default)\n"
          "  --fast-math      allow reordered/FMA SIMD reductions\n"
          "                   (env ACBM_FAST_MATH=1; off = bit-identical)\n"
          "\n"
@@ -252,14 +251,14 @@ net::IpToAsnMap parse_ipmap(const std::string& bytes, const std::string& path) {
 
 /// --fit-report destination: "-" writes to the command's output stream,
 /// anything else is a durably written framed artifact.
-void write_fit_report(const core::AdversaryModel& model,
-                      const std::string& dest, std::ostream& out) {
+void write_fit_report(const core::FitReport& report, const std::string& dest,
+                      std::ostream& out) {
   if (dest == "-") {
-    model.fit_report().write(out);
+    report.write(out);
     return;
   }
   std::ostringstream text;
-  model.fit_report().write(text);
+  report.write(text);
   durable::save_artifact(dest, "fit_report", 1, text.str());
 }
 
@@ -454,7 +453,9 @@ int cmd_fit(const ArgMap& args, std::ostream& out, std::ostream& err) {
     err << "checkpoint recovery:\n";
     checkpoint->report().write(err);
   }
-  if (!report_dest.empty()) write_fit_report(model, report_dest, out);
+  if (!report_dest.empty()) {
+    write_fit_report(model.fit_report(), report_dest, out);
+  }
   if (const auto floor = args.get("degraded-floor")) {
     const std::size_t degraded = model.fit_report().degraded_count();
     const auto limit = static_cast<std::size_t>(std::stoull(*floor));
@@ -638,7 +639,8 @@ constexpr const char* kPredictionHeader =
     "target      family        bots   duration      day  hour  top sources\n";
 
 /// One prediction table row, shared by `predict` (in-process model) and
-/// `query` (daemon round-trip) so their f64 output is byte-identical.
+/// `query` (daemon round-trip) so their output is byte-identical at either
+/// precision.
 void print_prediction_row(std::ostream& table, net::Asn asn,
                           const core::AttackPrediction& pred,
                           std::string_view family_name) {
@@ -668,14 +670,13 @@ int cmd_predict(const ArgMap& args, std::ostream& out, std::ostream& err) {
       core::parse_precision(args.get("precision").value_or("f64"));
   const std::string report_dest = args.get("fit-report").value_or("");
   std::ostream& info = report_dest == "-" ? err : out;
-  core::AdversaryModel model;
+  // One engine for every source: a saved .armm maps in place, a model.art
+  // (or legacy stream) is re-packed by load_any, and a fresh fit is packed
+  // in memory.
+  core::ServingModel serving;
+  core::FitReport report;  // Stays empty for a loaded model, as before.
   if (const auto model_path = args.get("model")) {
-    std::ifstream model_in(*model_path);
-    if (!model_in) {
-      throw durable::LoadFailure(durable::LoadError::kIo,
-                                 "cannot open model file " + *model_path);
-    }
-    model = core::AdversaryModel::load_framed(model_in);
+    serving = core::ServingModel::load_any(*model_path);
   } else {
     const std::string dataset_path = args.require("dataset");
     const trace::Dataset fit_dataset = parse_dataset(
@@ -683,36 +684,41 @@ int cmd_predict(const ArgMap& args, std::ostream& out, std::ostream& err) {
     const std::string ipmap_path = args.require("ipmap");
     const net::IpToAsnMap ip_map =
         parse_ipmap(read_input(ipmap_path, "ipmap"), ipmap_path);
-    model = core::AdversaryModel(core::default_cli_options());
+    core::AdversaryModel model(core::default_cli_options());
     model.fit(fit_dataset, ip_map);
+    report = model.fit_report();
+    serving = core::ServingModel::from_image(core::armm::pack_model(model));
   }
-  if (!report_dest.empty()) write_fit_report(model, report_dest, out);
-  const trace::Dataset& dataset = model.dataset();
+  if (!report_dest.empty()) write_fit_report(report, report_dest, out);
 
   std::vector<net::Asn> targets;
   for (const std::string& target : args.get_all("target")) {
     targets.push_back(static_cast<net::Asn>(std::stoul(target)));
   }
   if (targets.empty()) {
-    targets = dataset.target_asns();
+    // Most-attacked first, ties by ascending ASN (Dataset::target_asns).
+    targets = serving.targets();
+    const auto attacks = [&](net::Asn asn) {
+      return serving.view().target(asn)->attack_family.len;
+    };
+    std::stable_sort(targets.begin(), targets.end(),
+                     [&](net::Asn a, net::Asn b) {
+                       return attacks(a) > attacks(b);
+                     });
     targets.resize(std::min<std::size_t>(targets.size(),
                                          args.get_or<std::size_t>("top", 5)));
   }
 
-  std::optional<core::InferenceView> view;
-  if (precision == core::Precision::kF32) view = model.make_inference_view();
-
   std::ostream& table = report_dest == "-" ? err : out;
   table << kPredictionHeader;
   for (net::Asn asn : targets) {
-    const auto pred =
-        model.predict_next_attack(asn, view ? &*view : nullptr);
+    const auto pred = serving.predict(asn, precision);
     if (!pred) {
       table << "AS" << asn << "  (no history)\n";
       continue;
     }
     print_prediction_row(table, asn, *pred,
-                         dataset.family_names()[pred->assumed_family]);
+                         serving.family_name(pred->assumed_family));
   }
   return 0;
 }
@@ -930,7 +936,7 @@ std::string render_scenario_evaluation(const trace::Scenario& scenario,
 /// world in memory (no --dataset/--ipmap) and scores the three models
 /// against the naive baselines on its test tail.
 int cmd_evaluate_scenario(const ArgMap& args, const std::string& name,
-                          core::Precision precision, std::ostream& out) {
+                          std::ostream& out) {
   if (args.has("dataset") || args.has("ipmap")) {
     throw std::invalid_argument(
         "--scenario evaluates a self-contained preset world; drop "
@@ -961,8 +967,7 @@ int cmd_evaluate_scenario(const ArgMap& args, const std::string& name,
 
   const trace::World world = trace::build_world(wopts);
   const core::TimestampEvaluation eval = core::evaluate_timestamps(
-      world.dataset, world.ip_map, core::default_cli_options(), fraction,
-      precision);
+      world.dataset, world.ip_map, core::default_cli_options(), fraction);
   const std::string text = render_scenario_evaluation(
       scenario, world.dataset.size(), wopts.generator.days, wopts.seed, token,
       eval);
@@ -975,12 +980,10 @@ int cmd_evaluate_scenario(const ArgMap& args, const std::string& name,
 
 int cmd_evaluate(const ArgMap& args, std::ostream& out, std::ostream& err) {
   args.reject_unknown({"dataset", "ipmap", "train-fraction", "horizons", "out",
-                       "checkpoint-dir", "resume", "precision", "scenario",
+                       "checkpoint-dir", "resume", "scenario",
                        "scenario-param", "seed"});
-  const core::Precision precision =
-      core::parse_precision(args.get("precision").value_or("f64"));
   if (const auto scenario_name = args.get("scenario")) {
-    return cmd_evaluate_scenario(args, *scenario_name, precision, out);
+    return cmd_evaluate_scenario(args, *scenario_name, out);
   }
   const std::string dataset_path = args.require("dataset");
   const std::string ipmap_path = args.require("ipmap");
@@ -1018,18 +1021,12 @@ int cmd_evaluate(const ArgMap& args, std::ostream& out, std::ostream& err) {
       throw std::invalid_argument("train fraction must be in (0, 1), got " +
                                   token);
     }
-    // f32 results checkpoint under a distinct stage name so a directory
-    // shared across precisions never serves the wrong cached text (f64
-    // stage names are unchanged, so old checkpoints still resume).
-    const std::string stage =
-        "eval/h=" + token +
-        (precision == core::Precision::kF32 ? "/f32" : "");
+    const std::string stage = "eval/h=" + token;
     std::optional<std::string> text;
     if (checkpoint) text = checkpoint->load(stage);
     if (!text) {
       text = render_evaluation(
-          token, core::evaluate_timestamps(dataset, ip_map, opts, fraction,
-                                           precision));
+          token, core::evaluate_timestamps(dataset, ip_map, opts, fraction));
       if (checkpoint) checkpoint->store(stage, *text);
     }
     out << *text;

@@ -103,8 +103,8 @@ class Builder {
       layer.out = v.out;
       layer.weights = put_f64(v.weights);
       layer.biases = put_f64(v.biases);
-      // Transposed f32 [in x out], the layout gemv_t_f32 wants — same
-      // element order as nn::MlpF32View's constructor.
+      // Transposed f32 [in x out], the layout gemv_t_f32 wants (element
+      // (i, o) at i * out + o).
       const Ref wt{f32_.size(), v.weights.size()};
       f32_.reserve(f32_.size() + v.weights.size());
       for (std::size_t i = 0; i < v.in; ++i) {
@@ -256,6 +256,9 @@ std::string Builder::assemble() {
   std::memcpy(out.data() + sizeof(header), table.data(),
               table.size() * sizeof(SectionEntry));
   for (std::size_t s = 0; s < kSectionCount; ++s) {
+    // An empty section (e.g. no NAR fitted, so no MLPs) may have a null
+    // data pointer, which memcpy must not receive even for zero bytes.
+    if (sections[s].bytes.empty()) continue;
     std::memcpy(out.data() + table[s].offset, sections[s].bytes.data(),
                 sections[s].bytes.size());
   }

@@ -103,7 +103,8 @@ struct Ref {
 static_assert(sizeof(Ref) == 16);
 
 /// A fitted ARIMA(p, d, q): enough to replay ArimaModel::forecast_one
-/// bit-for-bit (f64 pools) and ArimaF32::forecast_one (f32 pools).
+/// bit-for-bit (f64 pools) and its f32 counterpart in core/serving.cpp
+/// (f32 pools).
 struct ArimaRec {
   std::uint32_t present = 0;
   std::uint32_t d = 0;

@@ -363,8 +363,7 @@ SourceDistributionEvaluation evaluate_source_distribution(
 TimestampEvaluation evaluate_timestamps(const trace::Dataset& dataset,
                                         const net::IpToAsnMap& ip_map,
                                         const SpatiotemporalOptions& opts,
-                                        double train_fraction,
-                                        Precision precision) {
+                                        double train_fraction) {
   if (!(train_fraction > 0.0 && train_fraction < 1.0)) {
     throw std::invalid_argument("evaluate_timestamps: bad fraction");
   }
@@ -388,8 +387,6 @@ TimestampEvaluation evaluate_timestamps(const trace::Dataset& dataset,
       assemble_rows(dataset, ip_map, temporal, spatial, model.options());
 
   const std::size_t n_train = train.size();
-  std::optional<InferenceView> view;
-  if (precision == Precision::kF32) view = InferenceView::extract(model);
 
   // Per-target chronological hour/day/interval series for the §VII-A naive
   // timestamp baselines, built lazily (only targets with test rows pay).
@@ -434,10 +431,8 @@ TimestampEvaluation evaluate_timestamps(const trace::Dataset& dataset,
     if (row.attack_index < n_train) continue;  // Only score the test tail.
     out.truth_hour.push_back(row.truth_hour);
     out.truth_day.push_back(row.truth_day);
-    out.st_hour.push_back(view ? view->predict_hour(row.features)
-                               : model.predict_hour(row.features));
-    out.st_day.push_back(view ? view->predict_day(row.features)
-                              : model.predict_day(row.features));
+    out.st_hour.push_back(model.predict_hour(row.features));
+    out.st_day.push_back(model.predict_day(row.features));
     out.spa_hour.push_back(std::clamp(row.features.spa_hour, 0.0, 23.999));
     out.spa_day.push_back(row.features.prev_day +
                           row.features.spa_interval_s / 86400.0);

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/baselines.h"
-#include "core/inference.h"
 #include "core/spatiotemporal_model.h"
 #include "net/ip_space.h"
 #include "trace/dataset.h"
@@ -102,14 +101,9 @@ struct TimestampEvaluation {
   double rmse_day_mean = 0.0;
 };
 
-/// `precision` selects the serving arithmetic for the spatiotemporal
-/// columns (st_hour / st_day): kF64 scores the fitted models directly,
-/// kF32 scores an InferenceView extracted from them (--precision f32).
-/// Fitting is identical either way.
 [[nodiscard]] TimestampEvaluation evaluate_timestamps(
     const trace::Dataset& dataset, const net::IpToAsnMap& ip_map,
-    const SpatiotemporalOptions& opts = {}, double train_fraction = 0.8,
-    Precision precision = Precision::kF64);
+    const SpatiotemporalOptions& opts = {}, double train_fraction = 0.8);
 
 /// §VII-A comparison row: one family, one feature, three predictors.
 struct ComparisonRow {

@@ -6,6 +6,7 @@
 #include <span>
 #include <stdexcept>
 #include <streambuf>
+#include <string>
 #include <unordered_map>
 
 #include "core/spatiotemporal_model.h"
@@ -48,8 +49,8 @@ Scratch& tl_scratch() {
   return scratch;
 }
 
-/// Mirrors temporal_model.cpp repair_history / InferenceView::repair: the
-/// history unchanged when all finite, else a patched copy.
+/// Mirrors temporal_model.cpp repair_history: the history unchanged when
+/// all finite, else a patched copy.
 std::span<const double> repair(std::span<const double> history, double fill,
                                std::vector<double>& storage) {
   const bool finite =
@@ -126,12 +127,16 @@ double arima_forecast_f64(const ArimaRec& rec, const ArtifactView& view,
   return pred;
 }
 
-/// Mirrors core::ArimaF32::forecast_one over the mapped f32 coefficients.
+/// f32 counterpart of arima_forecast_f64 over the f32 coefficients
+/// armm::pack_model writes. Differencing and integration stay in f64 (exact
+/// subtractions of the caller's history); the innovations filter runs in
+/// f32 as a branch-free AR sweep plus a sequential MA recurrence, which
+/// differs from the f64 filter only in summation order.
 double arima_forecast_f32(const ArimaRec& rec, const ArtifactView& view,
                           std::span<const double> history, Scratch& s) {
   const std::size_t d = rec.d;
   if (history.size() <= d) {
-    throw std::invalid_argument("ArimaF32::forecast_one: history too short");
+    throw std::invalid_argument("arima_forecast_f32: history too short");
   }
   s.diff.assign(history.begin(), history.end());
   std::size_t n = s.diff.size();
@@ -222,7 +227,8 @@ double mlp_predict_f64(const MlpRec& mlp, const ArtifactView& view,
   return cur[0] * mlp.out_sd + mlp.out_mean;
 }
 
-/// Mirrors nn::MlpF32View::predict over the mapped transposed f32 layers.
+/// f32 counterpart of mlp_predict_f64 over the transposed f32 layers
+/// armm::pack_model writes (the [in x out] layout gemv_t_f32 wants).
 double mlp_predict_f32(const MlpRec& mlp, const ArtifactView& view,
                        std::span<const double> features, Scratch& s) {
   const std::span<const float> in_mean = view.f32(mlp.in_mean32);
@@ -271,8 +277,8 @@ double nar_forecast(const MlpRec& mlp, const ArtifactView& view,
              : mlp_predict_f64(mlp, view, s.window, s);
 }
 
-/// Mirrors TemporalModel::forecast_next (f64) /
-/// InferenceView::temporal_forecast (f32); both share guard structure.
+/// Mirrors TemporalModel::forecast_next: the same history repair and
+/// degradation ladder at either precision.
 double temporal_forecast(const TemporalSlotRec& slot, const ArtifactView& view,
                          std::span<const double> history, bool f32,
                          Scratch& s) {
@@ -288,11 +294,10 @@ double temporal_forecast(const TemporalSlotRec& slot, const ArtifactView& view,
   return slot.fallback_mean;
 }
 
-/// Mirrors SpatialModel::forecast_next (f64) /
-/// InferenceView::spatial_forecast (f32). The AR-rung guards differ
-/// between the two reference paths (f64 fires on any non-empty series and
-/// throws when it is still shorter than d; f32 requires size > d) — both
-/// divergences are reproduced deliberately.
+/// Mirrors SpatialModel::forecast_next. The f64 AR rung keeps the
+/// reference's guard (it fires on any non-empty series and throws when the
+/// series is still shorter than d); the f32 AR rung requires size > d and
+/// otherwise falls through to the mean.
 double spatial_forecast(const SpatialSlotRec& slot, const ArtifactView& view,
                         std::span<const double> history, bool f32,
                         Scratch& s) {
@@ -316,8 +321,9 @@ double spatial_forecast(const SpatialSlotRec& slot, const ArtifactView& view,
   return slot.fallback_mean;
 }
 
-/// Mirrors RegressionTree::leaf_index + ModelTree leaf dispatch (f64) /
-/// TreeF32::predict (f32) over one tree's node block.
+/// Mirrors RegressionTree::leaf_index + ModelTree leaf dispatch over one
+/// tree's node block. Thresholds stay f64 at either precision, so f32
+/// routes to the same leaf; only the leaf's linear model runs in f32.
 double tree_predict(const ArtifactView& view, std::uint64_t off,
                     std::span<const double> features, bool f32) {
   const TreeNodeRec* nodes = view.tree_nodes().data() + off;
@@ -341,7 +347,8 @@ double tree_predict(const ArtifactView& view, std::uint64_t off,
                     leaf.intercept);
 }
 
-/// Mirrors LinearRegression::predict (f64) / LinearF32::predict (f32).
+/// Mirrors LinearRegression::predict (f64); f32 runs the same dot product
+/// over the f32 coefficients.
 double linear_predict(const LinearRec& rec, const ArtifactView& view,
                       std::span<const double> features, bool f32) {
   if (f32) {
@@ -356,7 +363,8 @@ double linear_predict(const LinearRec& rec, const ArtifactView& view,
                     rec.intercept);
 }
 
-/// Mirrors SpatiotemporalModel::predict_hour / InferenceView::predict_hour.
+/// Mirrors SpatiotemporalModel::predict_hour (same rungs and clamping at
+/// either precision).
 double predict_hour(const ArtifactView& view, const StFeatures& features,
                     bool f32) {
   const MetaRec& meta = view.meta();
@@ -371,7 +379,7 @@ double predict_hour(const ArtifactView& view, const StFeatures& features,
   return std::clamp(hour, 0.0, 23.999);
 }
 
-/// Mirrors SpatiotemporalModel::predict_day / InferenceView::predict_day.
+/// Mirrors SpatiotemporalModel::predict_day.
 double predict_day(const ArtifactView& view, const StFeatures& features,
                    bool f32) {
   const MetaRec& meta = view.meta();
@@ -472,7 +480,37 @@ class SpanBuf : public std::streambuf {
   }
 };
 
+/// Deserializes an AdversaryModel body and packs it in memory. A parse
+/// error surfaces as LoadFailure(kParse), like AdversaryModel::load_framed.
+ServingModel pack_body(std::string_view body, bool legacy) {
+  SpanBuf buf(body);
+  std::istream is(&buf);
+  AdversaryModel model;
+  try {
+    model = AdversaryModel::load(is);
+  } catch (const durable::LoadFailure&) {
+    throw;
+  } catch (const std::exception& e) {
+    throw durable::LoadFailure(
+        durable::LoadError::kParse,
+        std::string("adversary_model") + (legacy ? " (legacy format)" : "") +
+            ": " + e.what());
+  }
+  return ServingModel::from_image(armm::pack_model(model));
+}
+
 }  // namespace
+
+std::string_view precision_name(Precision precision) noexcept {
+  return precision == Precision::kF32 ? "f32" : "f64";
+}
+
+Precision parse_precision(std::string_view text) {
+  if (text == "f64") return Precision::kF64;
+  if (text == "f32") return Precision::kF32;
+  throw std::invalid_argument("parse_precision: expected f64 or f32, got '" +
+                              std::string(text) + "'");
+}
 
 ServingModel ServingModel::map_file(const std::filesystem::path& path,
                                     bool verify_crc) {
@@ -508,15 +546,16 @@ ServingModel ServingModel::load_any(const std::filesystem::path& path) {
       model.loaded_ = true;
       return model;
     }
+    // Legacy bare stream (pre-framing model files): no envelope to check.
+    if (!durable::looks_framed(probe.view())) {
+      return pack_body(probe.view(), /*legacy=*/true);
+    }
   }
-  // Framed model.art fallback: validate the frame against the mapping
-  // without copying, deserialize, re-pack in memory.
-  durable::FramedView framed =
+  // Framed model.art: validate the frame against the mapping without
+  // copying, deserialize, re-pack in memory.
+  const durable::FramedView framed =
       durable::load_framed_view(path, "adversary_model", 3, 4);
-  SpanBuf buf(framed.payload);
-  std::istream body(&buf);
-  const AdversaryModel model = AdversaryModel::load(body);
-  return from_image(armm::pack_model(model));
+  return pack_body(framed.payload, /*legacy=*/false);
 }
 
 std::vector<net::Asn> ServingModel::targets() const {

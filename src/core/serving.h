@@ -7,11 +7,13 @@
 // thread_local scratch arena, so one model instance serves any number of
 // concurrent callers with zero synchronization.
 //
-// Numeric contract: predict() mirrors AdversaryModel::predict_next_attack
-// on a freshly loaded model (no live observations) operation for
-// operation. The f64 path is byte-identical to the batch CLI; the f32 path
-// is byte-identical to the InferenceView (--precision f32) path. The
-// serving tests assert both across every target of a fitted model.
+// Numeric contract: the f64 path mirrors
+// AdversaryModel::predict_next_attack on a freshly loaded model (no live
+// observations) operation for operation and is byte-identical to it. The
+// f32 path runs the same composition over the f32 sections that
+// armm::pack_model writes and stays within the documented bound of the f64
+// answer (DESIGN.md §6). The serving tests assert both across every target
+// of a fitted model.
 #pragma once
 
 #include <cstdint>
@@ -23,10 +25,20 @@
 
 #include "core/artifact_map.h"
 #include "core/durable.h"
-#include "core/inference.h"
 #include "core/pipeline.h"
 
 namespace acbm::core {
+
+/// Arithmetic precision of a forecast (--precision CLI flag).
+enum class Precision {
+  kF64,  ///< The fitted f64 models, bit for bit (default).
+  kF32,  ///< The artifact's f32 sections (documented rel-error bound).
+};
+
+[[nodiscard]] std::string_view precision_name(Precision precision) noexcept;
+
+/// Parses "f64" / "f32"; throws std::invalid_argument on anything else.
+[[nodiscard]] Precision parse_precision(std::string_view text);
 
 class ServingModel {
  public:
@@ -45,14 +57,17 @@ class ServingModel {
 
   /// Loads either format: .armm artifacts map directly; framed model.art
   /// artifacts are mapped (durable::load_framed_view), deserialized, and
-  /// packed in memory. The daemon uses this as its .art fallback path.
+  /// packed in memory. Accepts everything AdversaryModel::load_framed
+  /// accepts, legacy bare streams included; every failure is a typed
+  /// durable::LoadFailure. The daemon, `acbm predict` and `acbm pack` load
+  /// .art input through it.
   [[nodiscard]] static ServingModel load_any(const std::filesystem::path& path);
 
   [[nodiscard]] bool loaded() const noexcept { return loaded_; }
 
   /// Next-attack forecast for one target, mirroring
-  /// AdversaryModel::predict_next_attack (f64) / the InferenceView path
-  /// (f32). Returns nullopt for targets with no attack history.
+  /// AdversaryModel::predict_next_attack (f64 bit for bit; f32 within the
+  /// documented bound). Returns nullopt for targets with no attack history.
   /// Thread-safe; uses thread_local scratch only.
   [[nodiscard]] std::optional<AttackPrediction> predict(
       net::Asn target_asn, Precision precision = Precision::kF64) const;

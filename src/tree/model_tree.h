@@ -33,8 +33,8 @@ struct ModelTreeOptions {
 };
 
 /// Snapshot of one node's attached model (parallel to
-/// RegressionTree::nodes()), for inference-representation extraction
-/// (core::TreeF32). intercept/coefficients are meaningful only when
+/// RegressionTree::nodes()), for serving-artifact extraction
+/// (core::armm::pack_model). intercept/coefficients are meaningful only when
 /// use_linear is set.
 struct LeafModelExport {
   bool use_linear = false;

@@ -427,21 +427,66 @@ TEST(ServeCli, PackProducesMappableArtifact) {
 
 TEST(ServeCli, QueryOutputByteIdenticalToPredictCli) {
   ServerFixture sf;
-  const auto targets = fx().serving.targets();
-  std::vector<std::string> predict_args = {"predict", "--model",
-                                           fx().art_path.string()};
-  std::vector<std::string> query_args = {
-      "query", "--socket", sf.server.socket_path().string(), "--model", "m"};
-  for (net::Asn asn : targets) {
-    predict_args.push_back("--target");
-    predict_args.push_back(std::to_string(asn));
-    query_args.push_back("--target");
-    query_args.push_back(std::to_string(asn));
+  TempDir dir;
+  // A legacy bare (unframed) model stream must still load.
+  const fs::path legacy_path = dir.path / "legacy.model";
+  {
+    std::ofstream out(legacy_path, std::ios::binary);
+    fx().model.save(out);
   }
-  std::ostringstream predict_out, query_out, err;
-  ASSERT_EQ(cli::run(predict_args, predict_out, err), 0) << err.str();
-  ASSERT_EQ(cli::run(query_args, query_out, err), 0) << err.str();
-  EXPECT_EQ(query_out.str(), predict_out.str());
+  std::vector<std::string> target_args;
+  for (net::Asn asn : fx().serving.targets()) {
+    target_args.push_back("--target");
+    target_args.push_back(std::to_string(asn));
+  }
+  for (const std::string precision : {"f64", "f32"}) {
+    std::vector<std::string> query_args = {
+        "query", "--socket", sf.server.socket_path().string(), "--model",
+        "m", "--precision", precision};
+    query_args.insert(query_args.end(), target_args.begin(),
+                      target_args.end());
+    std::ostringstream query_out, err;
+    ASSERT_EQ(cli::run(query_args, query_out, err), 0) << err.str();
+    for (const fs::path& model :
+         {fx().art_path, fx().armm_path, legacy_path}) {
+      std::vector<std::string> predict_args = {
+          "predict", "--model", model.string(), "--precision", precision};
+      predict_args.insert(predict_args.end(), target_args.begin(),
+                          target_args.end());
+      std::ostringstream predict_out;
+      ASSERT_EQ(cli::run(predict_args, predict_out, err), 0)
+          << model << " " << precision << ": " << err.str();
+      EXPECT_EQ(query_out.str(), predict_out.str())
+          << model << " " << precision;
+    }
+  }
+
+  // A missing or corrupt --model of either format is a load error.
+  std::vector<fs::path> bad = {dir.path / "missing.art",
+                               dir.path / "missing.armm"};
+  for (const fs::path& model : {fx().art_path, fx().armm_path}) {
+    std::string bytes = durable::read_file(model);
+    const std::string ext = model.extension().string();
+    const fs::path truncated = dir.path / ("truncated" + ext);
+    durable::atomic_write_file(truncated, bytes.substr(0, bytes.size() / 2));
+    bytes[bytes.size() / 2] ^= 0x08;
+    const fs::path flipped = dir.path / ("flipped" + ext);
+    durable::atomic_write_file(flipped, bytes);
+    bad.push_back(truncated);
+    bad.push_back(flipped);
+  }
+  for (const fs::path& model : bad) {
+    std::string out, err;
+    EXPECT_EQ(run_cli({"predict", "--model", model.string()}, &out, &err), 3)
+        << model << ": " << err;
+  }
+
+  // evaluate has no --precision: an unknown option is a usage error.
+  std::string out, err;
+  EXPECT_EQ(run_cli({"evaluate", "--dataset", "unused.csv", "--ipmap",
+                     "unused.txt", "--precision", "f32"},
+                    &out, &err),
+            2);
 }
 
 TEST(ServeCli, QueryMixIsDeterministicAndErrorsAreTyped) {

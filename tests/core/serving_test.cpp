@@ -1,8 +1,8 @@
 // ServingModel tests: the mmap serving path must be BYTE-identical to the
 // batch pipeline — f64 predictions equal AdversaryModel::predict_next_attack
-// bit for bit across every target, and f32 predictions equal the
-// InferenceView path bit for bit. Plus format interchange (map_file ==
-// from_image == load_any on .art) and concurrent predict safety.
+// bit for bit across every target (the f32 bound lives in
+// serving_f32_test.cpp). Plus format interchange (map_file == from_image ==
+// load_any on .art and legacy streams) and concurrent predict safety.
 #include "core/serving.h"
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 
 #include "core/artifact_map.h"
 #include "core/durable.h"
-#include "core/inference.h"
 #include "core/pipeline.h"
 #include "trace/world.h"
 
@@ -96,17 +95,6 @@ TEST(ServingModel, F64ByteIdenticalToBatchAcrossAllTargets) {
   }
 }
 
-TEST(ServingModel, F32ByteIdenticalToInferenceViewAcrossAllTargets) {
-  const Fixture& f = fx();
-  const InferenceView view = f.model.make_inference_view();
-  for (net::Asn asn : f.serving.targets()) {
-    const auto want = f.model.predict_next_attack(asn, &view);
-    const auto got = f.serving.predict(asn, Precision::kF32);
-    ASSERT_EQ(got.has_value(), want.has_value()) << "AS" << asn;
-    if (want) expect_identical(*got, *want, asn);
-  }
-}
-
 TEST(ServingModel, TargetsMatchDataset) {
   const Fixture& f = fx();
   const auto targets = f.serving.targets();
@@ -150,8 +138,16 @@ TEST(ServingModel, LoadAnyReadsBothFormats) {
     std::ofstream out(art, std::ios::binary);
     f.model.save_framed(out);
   }
+  const fs::path legacy = tmp.path / "model.legacy";  // Bare, unframed.
+  {
+    std::ofstream out(legacy, std::ios::binary);
+    f.model.save(out);
+  }
   const ServingModel from_armm = ServingModel::load_any(armm);
   const ServingModel from_art = ServingModel::load_any(art);
+  // pack_model is deterministic, so every source yields the same image.
+  EXPECT_EQ(from_art.image(), from_armm.image());
+  EXPECT_EQ(ServingModel::load_any(legacy).image(), from_armm.image());
   // The framed fallback re-packs in memory; both must serve identically.
   for (net::Asn asn : f.serving.targets()) {
     const auto a = from_armm.predict(asn);
