@@ -280,10 +280,8 @@ std::optional<core::CheckpointDir> open_checkpoint(const ArgMap& args,
     }
     return std::nullopt;
   }
-  core::CheckpointDir::Options opts;
-  opts.config_hash = config_hash;
-  opts.resume = args.has("resume");
-  return std::make_optional<core::CheckpointDir>(*dir, opts);
+  return std::make_optional<core::CheckpointDir>(
+      *dir, core::CheckpointDir::Options{config_hash, args.has("resume")});
 }
 
 int cmd_generate(const ArgMap& args, std::ostream& out, std::ostream&) {
@@ -433,10 +431,8 @@ int cmd_fit(const ArgMap& args, std::ostream& out, std::ostream& err) {
       return 5;
     }
     info << "workers: " << core::to_string(outcome) << "\n";
-    core::CheckpointDir::Options ckpt_opts;
-    ckpt_opts.config_hash = config_hash;
-    ckpt_opts.shared = true;
-    checkpoint.emplace(*dir, ckpt_opts);
+    checkpoint.emplace(*dir, core::CheckpointDir::Options{
+                                 config_hash, /*resume=*/true});
   } else {
     checkpoint = open_checkpoint(args, config_hash);
   }

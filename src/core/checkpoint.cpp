@@ -1,8 +1,8 @@
 #include "core/checkpoint.h"
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <sstream>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -17,46 +17,15 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr int kManifestFormat = 1;
 constexpr std::string_view kMarkerKind = "stage_done";
 constexpr std::string_view kMarkerSuffix = ".done";
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-/// Extracts the value of `"key": "<value>"` from a JSON line, unescaping
-/// \" and \\. Returns nullopt when the key is absent.
-std::optional<std::string> json_string_field(std::string_view line,
-                                             std::string_view key) {
-  std::string needle("\"");
-  needle += key;
-  needle += "\": \"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string_view::npos) return std::nullopt;
-  std::string out;
-  bool escaped = false;
-  for (std::size_t i = at + needle.size(); i < line.size(); ++i) {
-    const char c = line[i];
-    if (escaped) {
-      out += c;
-      escaped = false;
-    } else if (c == '\\') {
-      escaped = true;
-    } else if (c == '"') {
-      return out;
-    } else {
-      out += c;
-    }
-  }
-  return std::nullopt;  // Unterminated string: treat as absent.
-}
+/// Prior artifact copies kept per stage for corruption fallback.
+constexpr int kKeepGenerations = 2;
+/// Extra read attempts before a corrupt-looking artifact is condemned and
+/// quarantined: covers a reader racing a concurrent publisher mid-rename.
+constexpr int kReadRetries = 2;
+/// Base backoff between read retries, doubled per attempt.
+constexpr int kRetryBackoffMs = 2;
 
 /// Extracts `key=<value>` from a marker payload of newline-separated pairs.
 std::optional<std::string> payload_field(std::string_view payload,
@@ -75,12 +44,12 @@ std::optional<std::string> payload_field(std::string_view payload,
   return std::nullopt;
 }
 
-/// Reads one stage-completion marker. Returns the recorded stage name and
-/// payload CRC, or nullopt when the marker is missing, unreadable (possibly
-/// a reader racing its publisher — the stage just looks incomplete until
-/// the next check), or stamped with a different config hash.
-std::optional<std::pair<std::string, std::uint32_t>> parse_marker(
-    const fs::path& path, const std::string& config_hex) {
+/// Reads one stage-completion marker. Returns the recorded stage name, or
+/// nullopt when the marker is missing, unreadable (possibly a reader racing
+/// its publisher — the stage just looks incomplete until the next check),
+/// or stamped with a different config hash.
+std::optional<std::string> parse_marker(const fs::path& path,
+                                        const std::string& config_hex) {
   // A zero-length marker is what a writer crashed before its first write()
   // leaves behind (or a filesystem that lost the data blocks on power loss).
   // It is not corruption to diagnose — the stage simply is not done.
@@ -94,16 +63,19 @@ std::optional<std::pair<std::string, std::uint32_t>> parse_marker(
   } catch (const durable::LoadFailure&) {
     return std::nullopt;
   }
-  const auto stage = payload_field(payload, "stage");
   const auto config = payload_field(payload, "config");
-  const auto crc = payload_field(payload, "crc32c");
-  if (!stage || !config || !crc || *config != config_hex) return std::nullopt;
-  try {
-    return std::make_pair(
-        *stage, static_cast<std::uint32_t>(std::stoul(*crc, nullptr, 16)));
-  } catch (const std::exception&) {
-    return std::nullopt;
+  if (!config || *config != config_hex) return std::nullopt;
+  return payload_field(payload, "stage");
+}
+
+/// Every `.done` file in `dir`.
+std::vector<fs::path> marker_files(const fs::path& dir) {
+  std::vector<fs::path> out;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    if (entry.path().extension() == kMarkerSuffix) out.push_back(entry.path());
   }
+  return out;
 }
 
 }  // namespace
@@ -116,17 +88,12 @@ CheckpointDir::CheckpointDir(fs::path dir, Options opts)
     throw durable::WriteFailure("checkpoint: cannot create directory " +
                                 dir_.string() + ": " + ec.message());
   }
-  if (opts_.shared) {
-    refresh();
-    journal("open config_hash=" + durable::to_hex(opts_.config_hash) +
-            " shared stages=" + std::to_string(stages_.size()));
-    return;
+  // A fresh run forgets every completed stage, whoever recorded it.
+  if (!opts_.resume) {
+    for (const fs::path& marker : marker_files(dir_)) remove_marker(marker);
   }
-  if (opts_.resume) read_manifest();
-  write_manifest();
   journal("open config_hash=" + durable::to_hex(opts_.config_hash) +
-          (opts_.resume ? " resume" : " fresh") + " stages=" +
-          std::to_string(stages_.size()));
+          (opts_.resume ? " resume" : " fresh"));
 }
 
 std::string CheckpointDir::slug(std::string_view stage) {
@@ -149,84 +116,51 @@ fs::path CheckpointDir::marker_path(std::string_view stage) const {
   return dir_ / (slug(stage) + std::string(kMarkerSuffix));
 }
 
-bool CheckpointDir::is_complete(std::string_view stage) {
-  if (stages_.find(std::string(stage)) != stages_.end()) return true;
-  if (opts_.shared) return read_marker(stage);
-  return false;
-}
-
-void CheckpointDir::refresh() {
-  if (!opts_.shared) return;
-  // Rebuild from the markers so the scan is authoritative both ways: it
-  // picks up stages other processes completed AND forgets stages another
-  // process condemned (dropped marker after an unrecoverable artifact).
-  stages_.clear();
-  const std::string config_hex = durable::to_hex(opts_.config_hash);
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    const fs::path& path = entry.path();
-    if (path.extension() != kMarkerSuffix) continue;
-    if (const auto marker = parse_marker(path, config_hex)) {
-      stages_[marker->first] = marker->second;
-    }
-  }
-}
-
-bool CheckpointDir::read_marker(std::string_view stage) {
-  const auto marker =
+bool CheckpointDir::is_complete(std::string_view stage) const {
+  const auto recorded =
       parse_marker(marker_path(stage), durable::to_hex(opts_.config_hash));
-  if (!marker) return false;
-  stages_[marker->first] = marker->second;
-  return stages_.find(std::string(stage)) != stages_.end();
+  return recorded && *recorded == stage;
 }
 
-void CheckpointDir::write_marker(std::string_view stage, std::uint32_t crc) {
-  std::string payload = "stage=" + std::string(stage) + "\nconfig=" +
-                        durable::to_hex(opts_.config_hash) + "\ncrc32c=" +
-                        durable::to_hex(crc) + "\n";
-  durable::save_artifact(marker_path(stage), kMarkerKind, 1, payload);
+void CheckpointDir::remove_marker(const fs::path& marker) {
+  std::error_code ec;
+  fs::remove(marker, ec);
+  if (ec) {
+    throw durable::WriteFailure("checkpoint: cannot remove " +
+                                marker.string() + ": " + ec.message());
+  }
+  durable::sync_parent_dir(marker);
 }
 
 void CheckpointDir::invalidate(std::string_view stage) {
-  const std::string name(stage);
-  const bool known =
-      stages_.find(name) != stages_.end() || (opts_.shared && read_marker(stage));
-  if (!known) return;
-  journal("invalidate " + name);
-  drop_stage(name);
+  if (!is_complete(stage)) return;
+  journal("invalidate " + std::string(stage));
+  remove_marker(marker_path(stage));
   ACBM_COUNT("checkpoint.invalidate", 1);
 }
 
 std::vector<std::string> CheckpointDir::completed_stages() const {
+  const std::string config_hex = durable::to_hex(opts_.config_hash);
   std::vector<std::string> out;
-  out.reserve(stages_.size());
-  for (const auto& [stage, crc] : stages_) out.push_back(stage);
+  for (const fs::path& marker : marker_files(dir_)) {
+    if (auto stage = parse_marker(marker, config_hex)) {
+      out.push_back(std::move(*stage));
+    }
+  }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
-void CheckpointDir::drop_stage(const std::string& stage) {
-  stages_.erase(stage);
-  if (opts_.shared) {
-    // Remove the marker so every process (not just this one) reruns it.
-    std::error_code ec;
-    fs::remove(marker_path(stage), ec);
-  } else {
-    write_manifest();
-  }
-}
-
 std::optional<std::string> CheckpointDir::load(std::string_view stage) {
-  if (stages_.find(std::string(stage)) == stages_.end()) {
-    if (!opts_.shared || !read_marker(stage)) {
-      ACBM_COUNT("checkpoint.load.miss", 1);
-      return std::nullopt;
-    }
+  if (!is_complete(stage)) {
+    ACBM_COUNT("checkpoint.load.miss", 1);
+    return std::nullopt;
   }
   FaultInjector& injector = FaultInjector::instance();
   const std::string kind = slug(stage);
   const fs::path primary = artifact_path(stage);
-  const int attempts = 1 + (opts_.read_retries > 0 ? opts_.read_retries : 0);
-  for (int gen = 0; gen <= opts_.keep_generations; ++gen) {
+  constexpr int attempts = 1 + kReadRetries;
+  for (int gen = 0; gen <= kKeepGenerations; ++gen) {
     const fs::path candidate =
         gen == 0 ? primary
                  : fs::path(primary.string() + ".g" + std::to_string(gen));
@@ -271,11 +205,8 @@ std::optional<std::string> CheckpointDir::load(std::string_view stage) {
           journal("load " + std::string(stage) + " retry attempt=" +
                   std::to_string(attempt + 1) + " file=" + candidate.string() +
                   " error=" + to_string(e.code()));
-          if (opts_.retry_backoff_ms > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(opts_.retry_backoff_ms
-                                          << attempt));
-          }
+          std::this_thread::sleep_for(
+              std::chrono::milliseconds(kRetryBackoffMs << attempt));
           continue;
         }
         journal("load " + std::string(stage) + " corrupt file=" +
@@ -292,7 +223,7 @@ std::optional<std::string> CheckpointDir::load(std::string_view stage) {
     }
   }
   journal("load " + std::string(stage) + " unrecoverable; stage will rerun");
-  drop_stage(std::string(stage));
+  remove_marker(marker_path(stage));
   ACBM_COUNT("checkpoint.load.miss", 1);
   return std::nullopt;
 }
@@ -302,9 +233,9 @@ void CheckpointDir::store(std::string_view stage, std::string_view payload) {
   // Rotate prior copies: art -> .g1 -> .g2 -> dropped.
   std::error_code ec;
   const fs::path oldest =
-      primary.string() + ".g" + std::to_string(opts_.keep_generations);
+      primary.string() + ".g" + std::to_string(kKeepGenerations);
   fs::remove(oldest, ec);
-  for (int gen = opts_.keep_generations - 1; gen >= 0; --gen) {
+  for (int gen = kKeepGenerations - 1; gen >= 0; --gen) {
     const fs::path from =
         gen == 0 ? primary
                  : fs::path(primary.string() + ".g" + std::to_string(gen));
@@ -315,93 +246,21 @@ void CheckpointDir::store(std::string_view stage, std::string_view payload) {
 
   durable::save_artifact(primary, slug(stage), 1, payload);
 
-  // Crash window between artifact and completion record: the artifact
-  // exists but neither the manifest nor the marker records completion, so
-  // resume reruns the stage.
+  // Crash window between artifact and marker: the artifact exists but its
+  // completion is not recorded, so resume reruns the stage.
   FaultInjector& injector = FaultInjector::instance();
   if (injector.enabled() && injector.fires("checkpoint.stage", stage)) {
     throw durable::WriteFailure("injected fault: checkpoint.stage " +
                                 std::string(stage));
   }
 
-  stages_[std::string(stage)] = durable::crc32c(payload);
-  if (opts_.shared) {
-    write_marker(stage, stages_[std::string(stage)]);
-  } else {
-    write_manifest();
-  }
+  const std::string crc = durable::to_hex(durable::crc32c(payload));
+  durable::save_artifact(marker_path(stage), kMarkerKind, 1,
+                         "stage=" + std::string(stage) + "\nconfig=" +
+                             durable::to_hex(opts_.config_hash) +
+                             "\ncrc32c=" + crc + "\n");
   ACBM_COUNT("checkpoint.store", 1);
-  journal("store " + std::string(stage) + " crc32c=" +
-          durable::to_hex(stages_[std::string(stage)]));
-}
-
-void CheckpointDir::read_manifest() {
-  const fs::path manifest = dir_ / "run.json";
-  std::error_code ec;
-  if (!fs::exists(manifest, ec)) return;
-  std::string text;
-  try {
-    text = durable::read_file(manifest);
-  } catch (const durable::LoadFailure&) {
-    return;
-  }
-  // Line-oriented parse of our own writer's output. Any structural surprise
-  // quarantines the manifest and starts fresh — stage artifacts keep their
-  // own checksums, so the worst case is rerunning completed stages.
-  std::istringstream in(text);
-  std::string line;
-  bool saw_hash = false;
-  std::map<std::string, std::uint32_t> stages;
-  while (std::getline(in, line)) {
-    if (const auto hash = json_string_field(line, "config_hash")) {
-      saw_hash = true;
-      if (*hash != durable::to_hex(opts_.config_hash)) {
-        journal("manifest config_hash mismatch (" + *hash +
-                "); prior stages ignored");
-        return;
-      }
-      continue;
-    }
-    const auto name = json_string_field(line, "name");
-    const auto crc = json_string_field(line, "crc32c");
-    if (name && crc) {
-      try {
-        stages[*name] =
-            static_cast<std::uint32_t>(std::stoul(*crc, nullptr, 16));
-      } catch (const std::exception&) {
-        saw_hash = false;  // Malformed entry: treat the manifest as corrupt.
-        break;
-      }
-    }
-  }
-  if (!saw_hash) {
-    const fs::path dest = durable::quarantine(manifest);
-    report_.events.push_back({manifest.string(), durable::LoadError::kParse,
-                              "unparseable run manifest", dest.string()});
-    journal("manifest corrupt; quarantined to " + dest.string());
-    return;
-  }
-  stages_ = std::move(stages);
-}
-
-void CheckpointDir::write_manifest() {
-  std::ostringstream json;
-  json << "{\n";
-  json << "  \"format\": " << kManifestFormat << ",\n";
-  json << "  \"config_hash\": \"" << durable::to_hex(opts_.config_hash)
-       << "\",\n";
-  json << "  \"stages\": [";
-  bool first = true;
-  for (const auto& [stage, crc] : stages_) {
-    json << (first ? "\n" : ",\n");
-    first = false;
-    json << "    {\"name\": \"" << json_escape(stage) << "\", \"file\": \""
-         << json_escape(slug(stage) + ".art") << "\", \"crc32c\": \""
-         << durable::to_hex(crc) << "\"}";
-  }
-  json << (first ? "]\n" : "\n  ]\n");
-  json << "}\n";
-  durable::atomic_write_file(dir_ / "run.json", json.str());
+  journal("store " + std::string(stage) + " crc32c=" + crc);
 }
 
 void CheckpointDir::journal(std::string_view line) {

@@ -410,11 +410,18 @@ void atomic_write_file(const std::filesystem::path& path,
                        path.string() + " failed: " + ec.message());
   }
 
-  // Crash window between the rename and the directory fsync: the rename is
-  // visible to this process but a power loss could still roll it back. The
-  // injected fault throws here so callers observe "write failed" while the
-  // file may or may not exist under the final name — exactly the ambiguity
-  // a real crash produces; recovery must converge either way.
+  sync_parent_dir(path);
+}
+
+void sync_parent_dir(const std::filesystem::path& path) {
+  // Crash window between the rename (or unlink) and the directory fsync:
+  // the change is visible to this process but a power loss could still
+  // roll it back. The injected fault throws here so callers observe "write
+  // failed" while the file may or may not exist under the final name —
+  // exactly the ambiguity a real crash produces; recovery must converge
+  // either way.
+  FaultInjector& injector = FaultInjector::instance();
+  const std::string key = "path=" + path.string();
   if (injector.enabled() && injector.fires("io.dirsync", key)) {
     throw WriteFailure("injected fault: io.dirsync " + key);
   }

@@ -18,9 +18,10 @@
 //   io.write          key "path=<p>"  crash mid-write: half the payload is
 //                                     written to the temp file, then throws
 //   io.fsync          key "path=<p>"  fail the durability fsync
-//   io.dirsync        key "path=<p>"  crash after the rename but before the
-//                                     parent-directory fsync (publication
-//                                     ambiguous, as after a power loss)
+//   io.dirsync        key "path=<p>"  crash after the rename (or unlink)
+//                                     but before the parent-directory fsync
+//                                     (outcome ambiguous, as after a power
+//                                     loss)
 #pragma once
 
 #include <cstdint>
@@ -201,6 +202,13 @@ struct FramedView {
 /// directory fsync), where publication proceeds.
 void atomic_write_file(const std::filesystem::path& path,
                        std::string_view contents);
+
+/// Fsyncs the directory containing `path`, so a rename onto or unlink of
+/// `path` survives a power loss. atomic_write_file ends with it; callers that
+/// remove a file durably unlink it, then call this. Throws WriteFailure like
+/// atomic_write_file (EINVAL tolerated); the io.dirsync fault point fires
+/// here, keyed "path=<path>".
+void sync_parent_dir(const std::filesystem::path& path);
 
 /// frame_payload + atomic_write_file: the one call every artifact writer
 /// goes through.

@@ -687,14 +687,10 @@ RefitResult Ingestor::refit(const trace::Dataset& cumulative,
       if (injector.enabled() && injector.fires("refit.fail", key)) {
         throw durable::WriteFailure("injected fault: refit.fail " + key);
       }
-      CheckpointDir::Options ckpt_opts;
-      ckpt_opts.config_hash = checkpoint_config_hash();
-      ckpt_opts.resume = true;
-      CheckpointDir ckpt(opts_.dir / "checkpoint", ckpt_opts);
+      CheckpointDir ckpt(opts_.dir / "checkpoint",
+                         {checkpoint_config_hash(), /*resume=*/true});
       if (!invalidated) {
-        for (const std::string& stage : changed) {
-          if (ckpt.is_complete(stage)) ckpt.invalidate(stage);
-        }
+        for (const std::string& stage : changed) ckpt.invalidate(stage);
         invalidated = true;
       }
       AdversaryModel model(opts_.model);

@@ -331,10 +331,8 @@ int ShardWorker::run(const trace::Dataset& train,
                      const SpatiotemporalOptions& model_opts) {
   ACBM_SPAN_KV("worker.run", "worker=" + std::to_string(opts_.worker_id));
   check_shard_plan(opts_.checkpoint_dir, opts_.config_hash);
-  CheckpointDir::Options ckpt_opts;
-  ckpt_opts.config_hash = opts_.config_hash;
-  ckpt_opts.shared = true;
-  CheckpointDir ckpt(opts_.checkpoint_dir, ckpt_opts);
+  CheckpointDir ckpt(opts_.checkpoint_dir,
+                     {opts_.config_hash, /*resume=*/true});
   LeaseTable leases(coord_dir(opts_.checkpoint_dir), opts_.lease_ttl_ms);
   FeatureCache features(train, ip_map, nullptr);
   const std::vector<std::string> stages = shard_stages(train);
@@ -342,7 +340,6 @@ int ShardWorker::run(const trace::Dataset& train,
   int fitted = 0;
   int backoff_ms = opts_.poll_interval_ms;
   while (true) {
-    ckpt.refresh();
     bool all_complete = true;
     bool progressed = false;
     for (const std::string& stage : stages) {
@@ -357,7 +354,7 @@ int ShardWorker::run(const trace::Dataset& train,
         if (!ready) continue;
       }
       if (!leases.try_acquire(stage, opts_.worker_id)) continue;
-      // The publisher may have finished between our refresh and the
+      // The publisher may have finished between our check and the
       // acquire; re-check before burning a fit on a done stage.
       if (ckpt.is_complete(stage)) {
         leases.release(stage, opts_.worker_id);
@@ -452,20 +449,13 @@ CoordinationOutcome ShardCoordinator::run(
   ACBM_SPAN("coordinate");
   const fs::path coord = coord_dir(opts_.checkpoint_dir);
   std::error_code ec;
-  if (opts_.fresh) {
-    // A fresh run starts from a clean slate: no stage markers, no leases,
-    // no stale inbox. Stage artifacts stay (they rotate to generations on
-    // the refit, like a non-resume single-process fit).
-    fs::remove_all(coord, ec);
-    if (fs::exists(opts_.checkpoint_dir, ec)) {
-      for (const auto& entry : fs::directory_iterator(opts_.checkpoint_dir, ec)) {
-        if (entry.path().extension() == ".done") {
-          std::error_code rm;
-          fs::remove(entry.path(), rm);
-        }
-      }
-    }
-  }
+  // A fresh run starts from a clean slate: no stage markers (the checkpoint
+  // dir opened without resume removes them), no leases, no stale inbox.
+  // Stage artifacts stay (they rotate to generations on the refit, like a
+  // non-resume single-process fit).
+  if (opts_.fresh) fs::remove_all(coord, ec);
+  const CheckpointDir ckpt(opts_.checkpoint_dir,
+                           {opts_.config_hash, /*resume=*/!opts_.fresh});
   fs::create_directories(coord / "leases", ec);
   fs::create_directories(coord / "inbox", ec);
   write_shard_plan(opts_.checkpoint_dir, opts_.config_hash, stages);
@@ -533,10 +523,6 @@ CoordinationOutcome ShardCoordinator::run(
     // Did the workers finish the plan? Check the markers, not exit codes:
     // a clean-exit worker guarantees completion, but exhausted budgets
     // leave the plan partial and the caller's merge fit picks it up.
-    CheckpointDir::Options ckpt_opts;
-    ckpt_opts.config_hash = opts_.config_hash;
-    ckpt_opts.shared = true;
-    CheckpointDir ckpt(opts_.checkpoint_dir, ckpt_opts);
     const bool complete =
         std::all_of(stages.begin(), stages.end(),
                     [&](const std::string& s) { return ckpt.is_complete(s); });

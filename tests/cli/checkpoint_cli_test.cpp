@@ -31,11 +31,20 @@ struct FaultGuard {
   }
 };
 
+/// "<suite>.<test>" of the running test ("none" outside one).
+std::string current_test_name() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return info ? std::string(info->test_suite_name()) + "." + info->name()
+              : std::string("none");
+}
+
+/// Scratch directory named by pid and test, so tests run in one process
+/// never share (or clean up) each other's files.
 struct TempDir {
   fs::path path;
-  TempDir() {
+  explicit TempDir(const std::string& name = current_test_name()) {
     path = fs::temp_directory_path() /
-           ("acbm_ckpt_cli_test_" + std::to_string(::getpid()));
+           ("acbm_ckpt_cli_test_" + std::to_string(::getpid()) + "_" + name);
     fs::remove_all(path);
     fs::create_directories(path);
   }
@@ -60,7 +69,7 @@ int run_cli(std::vector<std::string> argv, std::string* out_text = nullptr,
 
 /// Generates one small shared world for the whole binary.
 struct World {
-  TempDir tmp;
+  TempDir tmp{"world"};
   std::string dataset;
   std::string ipmap;
   World() {

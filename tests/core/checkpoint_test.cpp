@@ -68,7 +68,7 @@ TEST(CheckpointDirTest, StoreThenLoadWithinOneRun) {
   ckpt.store("temporal/BotA", "payload bytes");
   EXPECT_TRUE(ckpt.is_complete("temporal/BotA"));
   EXPECT_EQ(ckpt.load("temporal/BotA"), "payload bytes");
-  EXPECT_TRUE(fs::exists(tmp.path / "run" / "run.json"));
+  EXPECT_TRUE(fs::exists(tmp.path / "run" / "temporal-BotA.done"));
   EXPECT_TRUE(fs::exists(tmp.path / "run" / "journal.log"));
 }
 
@@ -95,6 +95,7 @@ TEST(CheckpointDirTest, ResumeSeesPriorStagesFreshDoesNot) {
   }
   {
     CheckpointDir fresh(dir, opts_with(42, false));
+    EXPECT_FALSE(fs::exists(dir / "spatial.done"));
     EXPECT_FALSE(fresh.is_complete("spatial"));
     EXPECT_FALSE(fresh.load("spatial").has_value());
   }
@@ -110,6 +111,29 @@ TEST(CheckpointDirTest, ConfigHashMismatchIgnoresPriorStages) {
   CheckpointDir resumed(dir, opts_with(43, true));
   EXPECT_FALSE(resumed.is_complete("spatial"));
   EXPECT_FALSE(resumed.load("spatial").has_value());
+}
+
+TEST(CheckpointDirTest, ManifestOnlyDirectoryResumesNoStage) {
+  TempDir tmp;
+  const fs::path dir = tmp.path / "run";
+  {
+    CheckpointDir ckpt(dir, opts_with(42, false));
+    ckpt.store("spatial", "spatial payload");
+  }
+  // A directory from before per-stage markers: its completion record is a
+  // run.json manifest next to the stage artifacts. It records nothing this
+  // reader honors, so every stage reruns.
+  fs::remove(dir / "spatial.done");
+  std::ofstream(dir / "run.json")
+      << "{\n  \"format\": 1,\n  \"config_hash\": \""
+      << durable::to_hex(std::uint64_t{42}) << "\",\n  \"stages\": [\n"
+      << "    {\"name\": \"spatial\", \"file\": \"spatial.art\", "
+      << "\"crc32c\": \"" << durable::to_hex(durable::crc32c("spatial payload"))
+      << "\"}\n  ]\n}\n";
+  CheckpointDir resumed(dir, opts_with(42, true));
+  EXPECT_FALSE(resumed.is_complete("spatial"));
+  EXPECT_FALSE(resumed.load("spatial").has_value());
+  EXPECT_TRUE(resumed.completed_stages().empty());
 }
 
 TEST(CheckpointDirTest, CorruptArtifactFallsBackToPriorGeneration) {
@@ -150,7 +174,7 @@ TEST(CheckpointDirTest, AllGenerationsCorruptRerunsTheStage) {
 
   CheckpointDir resumed(dir, opts_with(7, true));
   EXPECT_FALSE(resumed.load("tree").has_value());
-  // The stage was dropped from the manifest: a rerun can store it again.
+  // The stage's marker was dropped: a rerun can store it again.
   EXPECT_FALSE(resumed.is_complete("tree"));
   resumed.store("tree", "rebuilt");
   EXPECT_EQ(resumed.load("tree"), "rebuilt");
@@ -169,24 +193,7 @@ TEST(CheckpointDirTest, GenerationRotationKeepsABoundedSet) {
   EXPECT_FALSE(fs::exists(dir / "spatial.art.g3"));
 }
 
-TEST(CheckpointDirTest, CorruptManifestIsQuarantinedAndRunStartsFresh) {
-  TempDir tmp;
-  const fs::path dir = tmp.path / "run";
-  {
-    CheckpointDir ckpt(dir, opts_with(5, false));
-    ckpt.store("spatial", "payload");
-  }
-  std::ofstream(dir / "run.json", std::ios::trunc) << "{ not json at all";
-
-  CheckpointDir resumed(dir, opts_with(5, true));
-  EXPECT_FALSE(resumed.is_complete("spatial"));
-  EXPECT_FALSE(resumed.report().clean());
-  EXPECT_TRUE(fs::exists(dir / "run.json.corrupt-1"));
-  // A fresh, valid manifest was rewritten in its place.
-  EXPECT_TRUE(fs::exists(dir / "run.json"));
-}
-
-TEST(CheckpointDirTest, StageFaultCrashesBeforeTheManifestUpdate) {
+TEST(CheckpointDirTest, StageFaultCrashesBeforeTheMarker) {
   FaultGuard guard;
   TempDir tmp;
   const fs::path dir = tmp.path / "run";
@@ -203,22 +210,17 @@ TEST(CheckpointDirTest, StageFaultCrashesBeforeTheManifestUpdate) {
   EXPECT_FALSE(resumed.load("spatial").has_value());
 }
 
-CheckpointDir::Options shared_opts(std::uint64_t hash) {
-  CheckpointDir::Options opts;
-  opts.config_hash = hash;
-  opts.shared = true;
-  opts.retry_backoff_ms = 0;  // Keep the retry tests fast.
-  return opts;
-}
+// CheckpointSharedTest: several CheckpointDirs over one directory, as the
+// processes of `fit --workers` share it.
 
 TEST(CheckpointSharedTest, MarkersPublishCompletionAcrossInstances) {
   TempDir tmp;
   const fs::path dir = tmp.path / "run";
-  CheckpointDir writer(dir, shared_opts(11));
-  CheckpointDir reader(dir, shared_opts(11));
+  CheckpointDir writer(dir, opts_with(11, false));
+  CheckpointDir reader(dir, opts_with(11, true));
   EXPECT_FALSE(reader.is_complete("spatial"));
   writer.store("spatial", "published by another process");
-  // No refresh needed: is_complete re-checks the on-disk marker.
+  // is_complete re-checks the on-disk marker.
   EXPECT_TRUE(reader.is_complete("spatial"));
   EXPECT_EQ(reader.load("spatial"), "published by another process");
   EXPECT_TRUE(fs::exists(dir / "spatial.done"));
@@ -228,31 +230,26 @@ TEST(CheckpointSharedTest, MarkersIgnoreAForeignConfigHash) {
   TempDir tmp;
   const fs::path dir = tmp.path / "run";
   {
-    CheckpointDir writer(dir, shared_opts(11));
+    CheckpointDir writer(dir, opts_with(11, false));
     writer.store("spatial", "payload");
   }
-  CheckpointDir other(dir, shared_opts(12));
+  CheckpointDir other(dir, opts_with(12, true));
   EXPECT_FALSE(other.is_complete("spatial"));
   EXPECT_FALSE(other.load("spatial").has_value());
 }
 
-TEST(CheckpointSharedTest, RefreshPicksUpMarkersAndDropRemovesThem) {
+TEST(CheckpointSharedTest, UnrecoverableArtifactDropsTheMarker) {
   TempDir tmp;
   const fs::path dir = tmp.path / "run";
-  CheckpointDir a(dir, shared_opts(11));
+  CheckpointDir a(dir, opts_with(11, false));
   a.store("tree", "payload");
-  // A shared dir opened later honors existing markers regardless of the
-  // resume flag (a fresh run's coordinator wipes them explicitly).
-  CheckpointDir b(dir, shared_opts(11));
-  EXPECT_TRUE(b.is_complete("tree"));
-  b.refresh();
+  CheckpointDir b(dir, opts_with(11, true));
   EXPECT_TRUE(b.is_complete("tree"));
   // An unrecoverable artifact drops the marker for every process.
   std::ofstream(dir / "tree.art", std::ios::binary | std::ios::trunc)
       << "garbage";
   EXPECT_FALSE(b.load("tree").has_value());
   EXPECT_FALSE(fs::exists(dir / "tree.done"));
-  a.refresh();
   EXPECT_FALSE(a.is_complete("tree"));
 }
 
@@ -318,7 +315,7 @@ TEST(CheckpointRetryTest, RepeatedCorruptionWalksBackTwoGenerations) {
   EXPECT_EQ(*loaded, "generation one");
   EXPECT_EQ(resumed.report().generation, 2);
   // Exactly the two corrupt copies were quarantined, after each exhausted
-  // its bounded retry (read_retries=2 -> two retry bumps per copy).
+  // its bounded retry (two retries -> two retry bumps per copy).
   observe::Metrics& reg = observe::Metrics::instance();
   EXPECT_EQ(reg.counter("checkpoint.quarantine").value(), 2U);
   EXPECT_EQ(reg.counter("checkpoint.load.retry").value(), 4U);
@@ -342,20 +339,28 @@ TEST(CheckpointSharedTest, ZeroLengthMarkerReadsAsStageNotDone) {
   MetricsGuard metrics;
   TempDir tmp;
   const fs::path dir = tmp.path / "run";
-  CheckpointDir writer(dir, shared_opts(11));
+  CheckpointDir writer(dir, opts_with(11, false));
   writer.store("temporal/BotA", "payload");
+  writer.store("temporal/BotC", "payload");
   // A crashed writer that opened its marker but never wrote a byte leaves a
   // zero-length .done file. That must read as "stage not done" — not as a
   // bad_magic corruption event, and without disturbing intact stages.
   std::ofstream(dir / (CheckpointDir::slug("temporal/BotB") + ".done"),
                 std::ios::binary | std::ios::trunc);
-  CheckpointDir reader(dir, shared_opts(11));
-  EXPECT_FALSE(reader.is_complete("temporal/BotB"));
-  EXPECT_FALSE(reader.load("temporal/BotB").has_value());
+  // A bit-flipped marker (a corrupt completion record) reads the same way.
+  const fs::path flipped = dir / "temporal-BotC.done";
+  std::string bytes = durable::read_file(flipped);
+  bytes.back() ^= 0x20;
+  std::ofstream(flipped, std::ios::binary | std::ios::trunc) << bytes;
+  CheckpointDir reader(dir, opts_with(11, true));
+  for (const char* stage : {"temporal/BotB", "temporal/BotC"}) {
+    EXPECT_FALSE(reader.is_complete(stage)) << stage;
+    EXPECT_FALSE(reader.load(stage).has_value()) << stage;
+  }
   EXPECT_TRUE(reader.is_complete("temporal/BotA"));
+  EXPECT_EQ(reader.completed_stages(),
+            std::vector<std::string>{"temporal/BotA"});
   EXPECT_TRUE(reader.report().events.empty());  // No corruption diagnosed.
-  reader.refresh();
-  EXPECT_FALSE(reader.is_complete("temporal/BotB"));
 }
 
 TEST(CheckpointDirTest, ZeroLengthArtifactSkipsRetriesAndQuarantine) {
@@ -405,14 +410,25 @@ TEST(CheckpointDirTest, InvalidateForgetsAStageUntilItIsStoredAgain) {
 TEST(CheckpointSharedTest, InvalidateRemovesTheMarkerForEveryProcess) {
   TempDir tmp;
   const fs::path dir = tmp.path / "run";
-  CheckpointDir a(dir, shared_opts(13));
-  CheckpointDir b(dir, shared_opts(13));
+  CheckpointDir a(dir, opts_with(13, false));
+  CheckpointDir b(dir, opts_with(13, true));
   a.store("tree", "payload");
   ASSERT_TRUE(b.is_complete("tree"));
   a.invalidate("tree");
   EXPECT_FALSE(fs::exists(dir / "tree.done"));
-  b.refresh();
   EXPECT_FALSE(b.is_complete("tree"));
+}
+
+TEST(CheckpointDirTest, InvalidateFsyncsTheDirectory) {
+  FaultGuard guard;
+  TempDir tmp;
+  const fs::path dir = tmp.path / "run";
+  CheckpointDir ckpt(dir, opts_with(13, false));
+  ckpt.store("tree", "payload");
+  // Marker removal reaches the directory fsync: an io.dirsync fault armed
+  // on the directory surfaces as a typed write failure.
+  FaultInjector::instance().configure("io.dirsync:" + dir.string());
+  EXPECT_THROW(ckpt.invalidate("tree"), durable::WriteFailure);
 }
 
 }  // namespace

@@ -113,7 +113,7 @@ int run_worker(ShardWorkerOptions opts) {
 std::string merge_bytes(const fs::path& dir) {
   CheckpointDir::Options copts;
   copts.config_hash = kHash;
-  copts.shared = true;
+  copts.resume = true;
   CheckpointDir ckpt(dir, copts);
   SpatiotemporalOptions opts = fast_options();
   opts.checkpoint = &ckpt;
@@ -284,13 +284,12 @@ TEST(ShardWorkerTest, BlockedWorkerBacksOffThenFinishes) {
 
   CheckpointDir::Options copts;
   copts.config_hash = kHash;
-  copts.shared = true;
+  copts.resume = true;
   CheckpointDir watch(dir, copts);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::minutes(2);
   bool others_done = false;
   while (!others_done && std::chrono::steady_clock::now() < deadline) {
-    watch.refresh();
     others_done = true;
     for (const std::string& stage : stages) {
       if (stage != "tree" && !watch.is_complete(stage)) others_done = false;
@@ -304,7 +303,6 @@ TEST(ShardWorkerTest, BlockedWorkerBacksOffThenFinishes) {
   worker.join();
 
   EXPECT_GE(observe::Metrics::instance().counter("shard.retry").value(), 1U);
-  watch.refresh();
   EXPECT_TRUE(watch.is_complete("tree"));
 }
 
