@@ -189,8 +189,8 @@ BenchResult bench_gemm(const BenchConfig& config) {
 }
 
 /// Dense gemv at a SIMD-eligible shape, pinned to one ISA. The scalar and
-/// SIMD variants share the workload (and, fast-math off, the checksum:
-/// the vectorized kernels are lane-stable).
+/// SIMD variants share the workload (and the checksum: the vectorized
+/// kernels are lane-stable).
 BenchResult bench_gemv_isa(const BenchConfig& config,
                            acbm::stats::SimdIsa isa) {
   const std::size_t rows = config.tiny ? 16 : 64;

@@ -1,8 +1,8 @@
 // Serving perf harness: cold-start cost of the zero-copy .armm mmap path
 // vs the framed model.art load, and daemon round-trip throughput/latency
-// (qps, p50/p99) at 1/4/16 concurrent connections, batched and unbatched —
-// emitted as a machine-readable JSON report on stdout (scripts/bench.sh
-// captures it into results/BENCH_serve.json).
+// (qps, p50/p99) at 1/4/16 concurrent connections — emitted as a
+// machine-readable JSON report on stdout (scripts/bench.sh captures it
+// into results/BENCH_serve.json).
 //
 // Output contract matches bench_kernels/bench_ingest: stdout carries
 // exactly one JSON document, progress goes to stderr, each benchmark runs
@@ -180,13 +180,12 @@ BenchResult bench_cold_framed(const Workload& w, const BenchConfig& config) {
 /// scripts/loadgen.sh). Per-request latencies accumulate across repeats
 /// for the percentile fields; ops = total requests per run.
 BenchResult bench_daemon(const Workload& w, const BenchConfig& config,
-                         std::size_t connections, bool batching) {
+                         std::size_t connections) {
   TempDir dir;
   ServerOptions opts;
   opts.socket_path = dir.path / "bench.sock";
   opts.models.emplace_back("m", w.armm_path);
   opts.threads = 4;
-  opts.batching = batching;
   opts.watch_interval_ms = 0;  // No rotation in the timed loop.
   opts.preload = true;
   Server server(std::move(opts));
@@ -195,8 +194,7 @@ BenchResult bench_daemon(const Workload& w, const BenchConfig& config,
   const std::size_t per_conn = config.tiny ? 50 : 2000;
   std::vector<double> latencies_us;
   std::mutex lat_mu;
-  const std::string name = "daemon_qps_c" + std::to_string(connections) +
-                           (batching ? "" : "_unbatched");
+  const std::string name = "daemon_qps_c" + std::to_string(connections);
   BenchResult result = run_bench(name, config, [&]() {
     std::atomic<std::uint64_t> checksum{0};
     std::vector<std::thread> threads;
@@ -320,11 +318,8 @@ int main(int argc, char** argv) {
   results.push_back(bench_cold_mmap(workload, config));
   results.push_back(bench_cold_framed(workload, config));
   for (const std::size_t connections : {1u, 4u, 16u}) {
-    results.push_back(
-        bench_daemon(workload, config, connections, /*batching=*/true));
+    results.push_back(bench_daemon(workload, config, connections));
   }
-  results.push_back(
-      bench_daemon(workload, config, 4, /*batching=*/false));
   print_json(config, results);
   return 0;
 }

@@ -67,7 +67,7 @@ ingest_out="${ACBM_BENCH_INGEST_OUT:-$repo_root/results/BENCH_ingest.json}"
 echo "bench.sh: wrote $ingest_out" >&2
 
 # Serving benchmarks (.armm mmap vs framed cold start, daemon qps and
-# p50/p99 over a unix socket at 1/4/16 connections, batched vs unbatched).
+# p50/p99 over a unix socket at 1/4/16 connections).
 # Socket round trips and mmap costs are not ISA-sensitive, so no cross-ISA
 # guard here either.
 serve_out="${ACBM_BENCH_SERVE_OUT:-$repo_root/results/BENCH_serve.json}"

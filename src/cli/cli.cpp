@@ -27,7 +27,6 @@
 #include "core/server.h"
 #include "core/serving.h"
 #include "core/shard.h"
-#include "stats/kernels.h"
 #include "trace/generator.h"
 #include "trace/scenario.h"
 #include "trace/world.h"
@@ -165,9 +164,8 @@ void print_usage(std::ostream& out) {
          "             models; hot-swaps generations on artifact rotation\n"
          "             --model NAME=FILE (repeatable) [--socket PATH]\n"
          "             [--port N|-1] [--threads N (4)] [--max-resident N (8)]\n"
-         "             [--no-batching] [--max-batch N (64)]\n"
          "             [--watch-interval MS (200)] [--io-timeout MS (5000)]\n"
-         "             [--idle-timeout MS (0)] [--preload]\n"
+         "             [--preload]\n"
          "  query      ask a running daemon for next-attack forecasts\n"
          "             --model NAME --target ASN (repeatable)\n"
          "             (--socket PATH | --port N) [--precision f64|f32]\n"
@@ -186,8 +184,6 @@ void print_usage(std::ostream& out) {
          "performance (any command; see DESIGN.md §6):\n"
          "  --precision f32  answer from the model artifact's float32\n"
          "                   sections (predict/query; f64 stays the default)\n"
-         "  --fast-math      allow reordered/FMA SIMD reductions\n"
-         "                   (env ACBM_FAST_MATH=1; off = bit-identical)\n"
          "\n"
          "observability (any command; see OBSERVABILITY.md):\n"
          "  --trace FILE     write a Chrome trace_event JSON of the run\n"
@@ -740,8 +736,7 @@ void serve_signal_handler(int) { g_serve_stop.store(true); }
 
 int cmd_serve(const ArgMap& args, std::ostream& out, std::ostream&) {
   args.reject_unknown({"socket", "port", "model", "threads", "max-resident",
-                       "no-batching", "max-batch", "watch-interval",
-                       "io-timeout", "idle-timeout", "preload"});
+                       "watch-interval", "io-timeout", "preload"});
   core::serve::ServerOptions opts;
   if (const auto socket = args.get("socket")) opts.socket_path = *socket;
   opts.tcp_port = static_cast<int>(args.get_or<long>("port", 0));
@@ -760,11 +755,8 @@ int cmd_serve(const ArgMap& args, std::ostream& out, std::ostream&) {
   }
   opts.threads = args.get_or<std::size_t>("threads", 4);
   opts.max_resident = args.get_or<std::size_t>("max-resident", 8);
-  opts.batching = !args.has("no-batching");
-  opts.max_batch = args.get_or<std::size_t>("max-batch", 64);
   opts.watch_interval_ms = args.get_or<std::size_t>("watch-interval", 200);
   opts.io_timeout_ms = args.get_or<std::size_t>("io-timeout", 5000);
-  opts.idle_timeout_ms = args.get_or<std::size_t>("idle-timeout", 0);
   opts.preload = args.has("preload");
 
   core::serve::Server server(std::move(opts));
@@ -1150,14 +1142,6 @@ int run(std::span<const std::string> args_in, std::ostream& out,
   }
   try {
     std::vector<std::string> args(args_in.begin(), args_in.end());
-    // --fast-math (any command): opt into the reordered/FMA SIMD kernel
-    // variants, giving up bit-identity with the scalar reference for a
-    // documented tolerance (DESIGN.md §6). Equivalent to ACBM_FAST_MATH=1.
-    if (const auto it = std::find(args.begin(), args.end(), "--fast-math");
-        it != args.end()) {
-      args.erase(it);
-      acbm::stats::set_fast_math(true);
-    }
     // A malformed ACBM_FAULTS spec parsed lazily inside the injector's
     // constructor cannot throw there; surface it as a usage error before
     // running anything under a half-configured fault set.
@@ -1169,8 +1153,7 @@ int run(std::span<const std::string> args_in, std::ostream& out,
     ObserveSession session(extract_observe_options(args));
     const ArgMap options(args, 1, {"resume", "ship-metrics", "init",
                                    "no-refit", "refit", "status",
-                                   "no-batching", "preload",
-                                   "list-scenarios"});
+                                   "preload", "list-scenarios"});
     // Dispatch inside a lambda so each command's root span closes before
     // session.finish() drains the tracer.
     const auto dispatch = [&]() -> int {

@@ -27,6 +27,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Requests a worker drains from the queue per tick; identical predict
+/// requests within one tick share a single forecast.
+constexpr std::size_t kMaxBatch = 64;
+
 template <typename T>
 void put_scalar(std::string& out, T value) {
   static_assert(std::is_trivially_copyable_v<T>);
@@ -424,9 +428,7 @@ struct Server::Impl {
         std::unique_lock lock(q_mu);
         q_cv.wait(lock, [&] { return stopping || !queue.empty(); });
         if (stopping && queue.empty()) return;
-        const std::size_t take =
-            opts.batching ? std::min(opts.max_batch, queue.size())
-                          : std::size_t{1};
+        const std::size_t take = std::min(kMaxBatch, queue.size());
         for (std::size_t i = 0; i < take; ++i) {
           batch.push_back(std::move(queue.front()));
           queue.pop_front();
@@ -447,21 +449,17 @@ struct Server::Impl {
             response_frame = encode_response(Status::kOk, Opcode::kPing, "");
             break;
           case Opcode::kPredict: {
-            if (opts.batching) {
-              std::string key = pr.req.model;
-              key += '\0';
-              key += pr.req.payload;
-              key += pr.req.precision == Precision::kF32 ? '1' : '0';
-              const auto it = shared_frames.find(key);
-              if (it != shared_frames.end()) {
-                coalesced.fetch_add(1, std::memory_order_relaxed);
-                response_frame = it->second;
-              } else {
-                response_frame = handle_predict(pr.req);
-                shared_frames.emplace(std::move(key), response_frame);
-              }
+            std::string key = pr.req.model;
+            key += '\0';
+            key += pr.req.payload;
+            key += pr.req.precision == Precision::kF32 ? '1' : '0';
+            const auto it = shared_frames.find(key);
+            if (it != shared_frames.end()) {
+              coalesced.fetch_add(1, std::memory_order_relaxed);
+              response_frame = it->second;
             } else {
               response_frame = handle_predict(pr.req);
+              shared_frames.emplace(std::move(key), response_frame);
             }
             break;
           }
@@ -616,6 +614,63 @@ struct Server::Impl {
     }
   }
 
+  /// Opens the wake pipe and the configured listeners; returns the bound
+  /// TCP port (0 when TCP is disabled). Throws std::runtime_error on
+  /// failure, leaving whatever it opened for release_fds().
+  int open_listeners() {
+    if (::pipe2(wake_pipe, O_NONBLOCK | O_CLOEXEC) != 0) {
+      throw std::runtime_error("serve: pipe2 failed");
+    }
+    if (!opts.socket_path.empty()) {
+      const std::string path_str = opts.socket_path.string();
+      sockaddr_un addr{};
+      if (path_str.size() >= sizeof(addr.sun_path)) {
+        throw std::runtime_error("serve: socket path too long");
+      }
+      socket_path = opts.socket_path;  // Ours to unlink from here on.
+      ::unlink(path_str.c_str());  // Stale socket from a killed daemon.
+      listen_unix = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+      addr.sun_family = AF_UNIX;
+      std::strncpy(addr.sun_path, path_str.c_str(), sizeof(addr.sun_path) - 1);
+      if (listen_unix < 0 ||
+          ::bind(listen_unix, reinterpret_cast<sockaddr*>(&addr),
+                 sizeof(addr)) != 0 ||
+          ::listen(listen_unix, 128) != 0) {
+        throw std::runtime_error("serve: cannot bind unix socket " + path_str);
+      }
+      set_nonblocking(listen_unix);
+    }
+    if (opts.tcp_port == 0) return 0;
+    listen_tcp = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    const int one = 1;
+    ::setsockopt(listen_tcp, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(
+        opts.tcp_port > 0 ? static_cast<std::uint16_t>(opts.tcp_port) : 0);
+    if (listen_tcp < 0 ||
+        ::bind(listen_tcp, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+            0 ||
+        ::listen(listen_tcp, 128) != 0) {
+      throw std::runtime_error("serve: cannot bind tcp port");
+    }
+    socklen_t len = sizeof(addr);
+    ::getsockname(listen_tcp, reinterpret_cast<sockaddr*>(&addr), &len);
+    set_nonblocking(listen_tcp);
+    return ntohs(addr.sin_port);
+  }
+
+  /// Closes the listeners and the wake pipe and removes the bound socket
+  /// file. Safe on a partially opened set (unopened fds are -1).
+  void release_fds() {
+    for (int* fd : {&listen_unix, &listen_tcp, &wake_pipe[0], &wake_pipe[1]}) {
+      if (*fd >= 0) ::close(*fd);
+      *fd = -1;
+    }
+    if (!socket_path.empty()) ::unlink(socket_path.c_str());
+  }
+
   void io_loop() {
     std::vector<pollfd> pfds;
     char scratch[65536];
@@ -703,19 +758,14 @@ struct Server::Impl {
         bool closed = false;
         if (!conn.wq.empty()) flush_writes(conn, closed);
         if (closed) continue;
-        // Slow-loris / idle timeouts.
+        // Slow-loris timeout: a partial frame or blocked write that makes
+        // no progress. Fully idle connections stay open.
         const auto idle_for = std::chrono::duration_cast<
             std::chrono::milliseconds>(Clock::now() - conn.last_activity);
         const bool mid_io = !conn.rbuf.empty() || !conn.wq.empty();
         if (mid_io && opts.io_timeout_ms > 0 &&
             idle_for.count() >= 0 &&
             static_cast<std::size_t>(idle_for.count()) >= opts.io_timeout_ms) {
-          close_conn(fd);
-          continue;
-        }
-        if (!mid_io && opts.idle_timeout_ms > 0 &&
-            static_cast<std::size_t>(idle_for.count()) >=
-                opts.idle_timeout_ms) {
           close_conn(fd);
         }
       }
@@ -740,49 +790,11 @@ void Server::start() {
   if (s.opts.socket_path.empty() && s.opts.tcp_port == 0) {
     throw std::runtime_error("serve: no listener configured");
   }
-  if (::pipe2(s.wake_pipe, O_NONBLOCK | O_CLOEXEC) != 0) {
-    throw std::runtime_error("serve: pipe2 failed");
-  }
-  if (!s.opts.socket_path.empty()) {
-    s.socket_path = s.opts.socket_path;
-    const std::string path_str = s.socket_path.string();
-    sockaddr_un addr{};
-    if (path_str.size() >= sizeof(addr.sun_path)) {
-      throw std::runtime_error("serve: socket path too long");
-    }
-    ::unlink(path_str.c_str());  // Stale socket from a killed daemon.
-    s.listen_unix = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path_str.c_str(), sizeof(addr.sun_path) - 1);
-    if (s.listen_unix < 0 ||
-        ::bind(s.listen_unix, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(s.listen_unix, 128) != 0) {
-      throw std::runtime_error("serve: cannot bind unix socket " + path_str);
-    }
-    set_nonblocking(s.listen_unix);
-  }
-  if (s.opts.tcp_port != 0) {
-    s.listen_tcp = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    const int one = 1;
-    ::setsockopt(s.listen_tcp, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port =
-        htons(s.opts.tcp_port > 0
-                  ? static_cast<std::uint16_t>(s.opts.tcp_port)
-                  : 0);
-    if (s.listen_tcp < 0 ||
-        ::bind(s.listen_tcp, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(s.listen_tcp, 128) != 0) {
-      throw std::runtime_error("serve: cannot bind tcp port");
-    }
-    socklen_t len = sizeof(addr);
-    ::getsockname(s.listen_tcp, reinterpret_cast<sockaddr*>(&addr), &len);
-    bound_port_ = ntohs(addr.sin_port);
-    set_nonblocking(s.listen_tcp);
+  try {
+    bound_port_ = s.open_listeners();
+  } catch (...) {
+    s.release_fds();
+    throw;
   }
 
   for (const auto& [name, path] : s.opts.models) {
@@ -823,13 +835,7 @@ void Server::stop() {
   s.workers.clear();
   if (s.io_thread.joinable()) s.io_thread.join();
   if (s.watcher.joinable()) s.watcher.join();
-  if (s.listen_unix >= 0) ::close(s.listen_unix);
-  if (s.listen_tcp >= 0) ::close(s.listen_tcp);
-  s.listen_unix = s.listen_tcp = -1;
-  if (!s.socket_path.empty()) ::unlink(s.socket_path.c_str());
-  ::close(s.wake_pipe[0]);
-  ::close(s.wake_pipe[1]);
-  s.wake_pipe[0] = s.wake_pipe[1] = -1;
+  s.release_fds();
   running_.store(false);
 }
 

@@ -96,15 +96,11 @@ struct ServerOptions {
   std::vector<std::pair<std::string, std::filesystem::path>> models;
   std::size_t threads = 4;       ///< Worker pool size.
   std::size_t max_resident = 8;  ///< LRU bound on loaded models.
-  bool batching = true;          ///< Coalesce per-tick duplicate requests.
-  std::size_t max_batch = 64;    ///< Requests drained per worker tick.
   /// Artifact watch poll interval; 0 disables hot swap.
   std::size_t watch_interval_ms = 200;
   /// Close a connection whose partial frame or blocked write makes no
   /// progress for this long (slow-loris guard).
   std::size_t io_timeout_ms = 5000;
-  /// Close fully idle connections after this long; 0 = never.
-  std::size_t idle_timeout_ms = 0;
   /// Preload every registered model at start() instead of on first use.
   bool preload = false;
 };
@@ -130,7 +126,9 @@ class Server {
 
   /// Binds the listeners, loads (or lazily registers) the models, and
   /// spawns the IO, worker, and watcher threads. Throws std::runtime_error
-  /// on bind failure. Returns once the server is accepting connections.
+  /// on bind failure, after closing every fd it opened and removing the
+  /// socket file it bound. Returns once the server is accepting
+  /// connections.
   void start();
 
   /// Graceful shutdown: stops accepting, completes queued work with error

@@ -122,35 +122,20 @@ bool env_flag_off(const char* name) noexcept {
   return s == "0" || s == "off" || s == "OFF" || s == "scalar";
 }
 
-bool env_flag_on(const char* name) noexcept {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return false;
-  const std::string_view s{v};
-  return s == "1" || s == "on" || s == "ON" || s == "true";
-}
-
 std::atomic<SimdIsa>& active_state() noexcept {
   static std::atomic<SimdIsa> state{env_flag_off("ACBM_SIMD") ? SimdIsa::kScalar
                                                               : detect()};
   return state;
 }
 
-std::atomic<bool>& fast_math_state() noexcept {
-  static std::atomic<bool> state{env_flag_on("ACBM_FAST_MATH")};
-  return state;
-}
-
 /// Table for the active ISA, or nullptr when scalar is active (or the
-/// arch TU was not built). Fast-math tables carry bit-identical entries
-/// for kernels without a reordering variant, so one lookup suffices.
+/// arch TU was not built).
 const detail::KernelTable* active_table() noexcept {
-  const SimdIsa isa = active_state().load(std::memory_order_relaxed);
-  const bool fm = fast_math_state().load(std::memory_order_relaxed);
-  switch (isa) {
+  switch (active_state().load(std::memory_order_relaxed)) {
     case SimdIsa::kAvx2:
-      return detail::avx2_table(fm);
+      return detail::avx2_table();
     case SimdIsa::kNeon:
-      return detail::neon_table(fm);
+      return detail::neon_table();
     case SimdIsa::kScalar:
       break;
   }
@@ -208,14 +193,6 @@ SimdIsa active_isa() noexcept {
 void set_active_isa(SimdIsa isa) noexcept {
   if (isa != SimdIsa::kScalar && isa != detected_isa()) isa = SimdIsa::kScalar;
   active_state().store(isa, std::memory_order_relaxed);
-}
-
-bool fast_math() noexcept {
-  return fast_math_state().load(std::memory_order_relaxed);
-}
-
-void set_fast_math(bool on) noexcept {
-  fast_math_state().store(on, std::memory_order_relaxed);
 }
 
 void gemv(std::span<const double> weights, std::span<const double> bias,
@@ -344,10 +321,10 @@ double dot(std::span<const double> a, std::span<const double> b,
 // Fallback definitions when the arch-specific TU is not part of the build
 // (non-matching target, or -DACBM_DISABLE_SIMD=ON).
 #ifndef ACBM_HAVE_AVX2_TU
-const detail::KernelTable* detail::avx2_table(bool) noexcept { return nullptr; }
+const detail::KernelTable* detail::avx2_table() noexcept { return nullptr; }
 #endif
 #ifndef ACBM_HAVE_NEON_TU
-const detail::KernelTable* detail::neon_table(bool) noexcept { return nullptr; }
+const detail::KernelTable* detail::neon_table() noexcept { return nullptr; }
 #endif
 
 }  // namespace acbm::stats

@@ -4,15 +4,11 @@
 // scalar reference implementation plus runtime-dispatched SIMD variants
 // (AVX2 on x86-64, NEON on aarch64) selected per call by `active_isa()`.
 //
-// Bit-identity contract: with fast_math() off (the default), every SIMD
-// variant performs the exact same IEEE-754 operations in the exact same
-// per-element order as the scalar reference — vectorization happens across
-// independent accumulators (output lanes), never by splitting one
-// accumulation chain. Results are bit-identical across scalar/AVX2/NEON.
-// With ACBM_FAST_MATH opted in (env or --fast-math), kernels may use FMA
-// and in-register horizontal reductions, which reorders accumulation; the
-// results then agree with scalar only to rounding tolerance (property
-// tests in tests/stats/ bound the error).
+// Bit-identity contract: every SIMD variant performs the exact same
+// IEEE-754 operations in the exact same per-element order as the scalar
+// reference — vectorization happens across independent accumulators
+// (output lanes), never by splitting one accumulation chain, and never
+// with FMA. Results are bit-identical across scalar/AVX2/NEON.
 #pragma once
 
 #include <cstddef>
@@ -40,12 +36,6 @@ enum class SimdIsa { kScalar, kAvx2, kNeon };
 /// unsupported ISA selects scalar). For scalar-vs-SIMD agreement tests and
 /// in-binary benchmark comparisons.
 void set_active_isa(SimdIsa isa) noexcept;
-
-/// Whether reordering (FMA / horizontal-reduction) kernel variants are
-/// enabled. Defaults from the ACBM_FAST_MATH environment variable ("1",
-/// "on", "true"); the CLI exposes --fast-math. Off = bit-identity.
-[[nodiscard]] bool fast_math() noexcept;
-void set_fast_math(bool on) noexcept;
 
 /// out[o] = bias[o] + sum_i weights[o * x.size() + i] * x[i].
 /// weights is row-major [out.size() x x.size()]. `out` must not alias
@@ -84,7 +74,7 @@ void fne_row_update(double* ata, double* atb, const double* a_row, double yr,
 /// The transposed layout makes the output lanes contiguous, so SIMD
 /// vectorizes across outputs with unit-stride loads while each lane keeps
 /// the scalar ascending-i accumulation order (bit-identical to the scalar
-/// reference, fast-math off). `out` must not alias the inputs.
+/// reference). `out` must not alias the inputs.
 void gemv_t_f32(std::span<const float> weights_t, std::span<const float> bias,
                 std::span<const float> x, std::span<float> out);
 
@@ -94,10 +84,10 @@ void gemv_t_tanh_f32(std::span<const float> weights_t,
                      std::span<float> out);
 
 /// Sequential dot product: start + sum_i a[i] * b[i] in ascending-i order,
-/// one accumulator. This IS the bit-identity reference (never vectorized;
-/// fast-math has no effect), shared by the serving-path mirrors of
-/// LinearRegression::predict and the ARIMA forecast recurrences so their
-/// accumulation order provably matches the fitting-side code.
+/// one accumulator. This IS the bit-identity reference (never vectorized),
+/// shared by the serving-path mirrors of LinearRegression::predict and the
+/// ARIMA forecast recurrences so their accumulation order provably matches
+/// the fitting-side code.
 [[nodiscard]] double dot(std::span<const double> a, std::span<const double> b,
                          double start = 0.0) noexcept;
 

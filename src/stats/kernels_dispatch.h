@@ -36,11 +36,10 @@ struct KernelTable {
                           std::size_t in) = nullptr;
 };
 
-/// Tables provided by the arch-specific TUs; null when the TU is not built
-/// for this target. `fast_math` selects the variant that may reorder FP
-/// accumulation (FMA, horizontal reductions) — see ACBM_FAST_MATH in
-/// DESIGN.md §6. The default (false) variants are bit-identical to scalar.
-[[nodiscard]] const KernelTable* avx2_table(bool fast_math) noexcept;
-[[nodiscard]] const KernelTable* neon_table(bool fast_math) noexcept;
+/// Tables provided by the arch-specific TUs, one per ISA, every entry
+/// bit-identical to the scalar reference; null when the TU is not built
+/// for this target.
+[[nodiscard]] const KernelTable* avx2_table() noexcept;
+[[nodiscard]] const KernelTable* neon_table() noexcept;
 
 }  // namespace acbm::stats::detail

@@ -66,6 +66,11 @@ TEST(Cli, UnknownOptionFails) {
   std::string err;
   EXPECT_EQ(run_cli({"stats", "--bogus", "1"}, &out, &err), 2);
   EXPECT_NE(err.find("unknown option"), std::string::npos);
+  // Switches that no longer exist are rejected like any other option.
+  EXPECT_EQ(run_cli({"fit", "--fast-math"}, &out, &err), 2);
+  EXPECT_NE(err.find("--fast-math"), std::string::npos);
+  EXPECT_EQ(run_cli({"serve", "--no-batching"}, &out, &err), 2);
+  EXPECT_NE(err.find("--no-batching"), std::string::npos);
 }
 
 TEST(Cli, MissingRequiredOptionFails) {

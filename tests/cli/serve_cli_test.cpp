@@ -3,7 +3,9 @@
 // eviction, generation hot-swap under concurrent load at 1/4/16 worker
 // threads with zero lost requests, and the pack/serve/query CLI surface
 // (query output byte-identical to the batch predict CLI).
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -241,7 +243,6 @@ TEST(Serve, ClientDisconnectMidResponseDoesNotCrashOrStall) {
 TEST(Serve, PipelinedDuplicatesAreCoalesced) {
   ServerFixture sf([](ServerOptions& o) {
     o.threads = 1;
-    o.max_batch = 64;
     o.preload = true;
   });
   Client client = sf.client();
@@ -264,19 +265,6 @@ TEST(Serve, PipelinedDuplicatesAreCoalesced) {
   EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kPipelined));
   EXPECT_GT(stats.coalesced, 0u);
   EXPECT_LT(stats.batches, static_cast<std::uint64_t>(kPipelined));
-}
-
-TEST(Serve, UnbatchedModeServesIdenticalAnswers) {
-  ServerFixture sf([](ServerOptions& o) { o.batching = false; });
-  Client client = sf.client();
-  for (net::Asn asn : fx().serving.targets()) {
-    const auto want = fx().serving.predict(asn);
-    const auto [status, result] = client.predict("m", asn);
-    ASSERT_EQ(status, Status::kOk);
-    EXPECT_EQ(bits(result->prediction.magnitude), bits(want->magnitude));
-    EXPECT_EQ(result->prediction.start, want->start);
-  }
-  EXPECT_EQ(sf.server.stats().coalesced, 0u);
 }
 
 TEST(Serve, LruEvictsLeastRecentlyUsedModel) {
@@ -535,6 +523,51 @@ TEST(ServeCli, StaleSocketFileIsReplacedOnStart) {
   Client client = Client::connect_unix(sock);
   EXPECT_EQ(client.ping().status, Status::kOk);
   server.stop();
+}
+
+std::size_t open_fd_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       fs::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ServeCli, FailedStartReleasesEveryFdAndTheSocketFile) {
+  TempDir dir;
+  // Hold a loopback port so the daemon's TCP bind fails after its Unix
+  // listener is already bound.
+  const int held = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(held, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(held, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(held, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(held, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const int held_port = ntohs(addr.sin_port);
+
+  const fs::path sock = dir.path / "serve.sock";
+  const std::size_t fds_before = open_fd_count();
+  {
+    ServerOptions opts;
+    opts.socket_path = dir.path / (std::string(200, 's') + ".sock");
+    Server server(std::move(opts));
+    EXPECT_THROW(server.start(), std::runtime_error);
+  }
+  {
+    ServerOptions opts;
+    opts.socket_path = sock;
+    opts.tcp_port = held_port;
+    Server server(std::move(opts));
+    EXPECT_THROW(server.start(), std::runtime_error);
+    EXPECT_FALSE(server.running());
+  }
+  EXPECT_EQ(open_fd_count(), fds_before);
+  EXPECT_FALSE(fs::exists(sock));
+  ::close(held);
 }
 
 }  // namespace
