@@ -1,6 +1,7 @@
 // Serving perf harness: cold-start cost of the zero-copy .armm mmap path
-// vs the framed model.art load, and daemon round-trip throughput/latency
-// (qps, p50/p99) at 1/4/16 concurrent connections — emitted as a
+// vs the framed model.art load (frame check plus an image copy), and
+// daemon round-trip throughput/latency (qps, p50/p99) at 1/4/16
+// concurrent connections — emitted as a
 // machine-readable JSON report on stdout (scripts/bench.sh captures it
 // into results/BENCH_serve.json).
 //
@@ -117,8 +118,8 @@ struct TempDir {
   }
 };
 
-/// The fitted model saved in both artifact formats, shared by every
-/// benchmark (fitting dominates setup, not measurement).
+/// The fitted model's image saved raw (.armm) and framed (model.art),
+/// shared by every benchmark (fitting dominates setup, not measurement).
 struct Workload {
   TempDir dir;
   fs::path armm_path;
@@ -159,8 +160,9 @@ BenchResult bench_cold_mmap(const Workload& w, const BenchConfig& config) {
   return result;
 }
 
-/// Cold start, framed path: map + CRC + deserialize + re-pack + first
-/// forecast — what serving a model.art costs. ops = loads.
+/// Cold start, framed path: map + frame CRC + copy of the image into an
+/// aligned buffer + validate + first forecast — what serving a model.art
+/// costs (no re-pack: the payload is the .armm image). ops = loads.
 BenchResult bench_cold_framed(const Workload& w, const BenchConfig& config) {
   const std::size_t loads = config.tiny ? 1 : 3;
   BenchResult result = run_bench("cold_start_framed_art", config, [&]() {

@@ -388,8 +388,8 @@ stop_daemon() {
 }
 
 run_serve_phase() {
-  local armm="$work/serve.armm"
-  "$acbm" pack --model "$clean" --out "$armm" >/dev/null
+  local art="$work/serve.art"
+  cp "$clean" "$art"
   serve_sock="$work/serve.sock"
 
   # Reference: the batch predict CLI on the same artifact, over the 8
@@ -401,7 +401,7 @@ run_serve_phase() {
   "$acbm" predict --model "$clean" "${target_args[@]}" > "$work/serve_ref.txt"
 
   # Sanity: a clean daemon serves the reference byte-identically.
-  start_daemon "$work/serve0.log" --model "m=$armm" || {
+  start_daemon "$work/serve0.log" --model "m=$art" || {
     failures=$((failures + 1)); return;
   }
   "$acbm" query --socket "$serve_sock" --model m "${target_args[@]}" \
@@ -424,7 +424,7 @@ run_serve_phase() {
   kill -9 "$serve_pid"
   serve_pid=""
   wait "$load_pid" 2>/dev/null || true  # The client loses its connection.
-  if ! start_daemon "$work/serve1.log" --model "m=$armm"; then
+  if ! start_daemon "$work/serve1.log" --model "m=$art"; then
     failures=$((failures + 1)); return
   fi
   "$acbm" query --socket "$serve_sock" --model m "${target_args[@]}" \
@@ -437,23 +437,24 @@ run_serve_phase() {
   fi
 
   # Case 2: kill -9 mid-generation-swap. Rotate the artifact in a tight
-  # loop (atomic rename-over, same bytes, new inode) under load, kill the
-  # daemon while swaps are landing, restart, compare.
+  # loop (copy to a temp file, then atomic rename-over: same bytes, new
+  # inode) under load, kill the daemon while swaps are landing, restart,
+  # compare.
   bash "$repo_root/scripts/loadgen.sh" "$acbm" "$serve_sock" m 100000 11 \
     $targets >/dev/null 2>&1 &
   load_pid=$!
   touch "$work/rotate.flag"
   ( while [[ -e "$work/rotate.flag" ]]; do
-      "$acbm" pack --model "$clean" --out "$armm" >/dev/null 2>&1
+      cp "$clean" "$art.tmp" && mv -f "$art.tmp" "$art"
     done ) &
   local rotate_pid=$!
   sleep 0.6
   kill -9 "$serve_pid"
   serve_pid=""
-  rm -f "$work/rotate.flag"  # Let the in-flight pack finish, then stop.
+  rm -f "$work/rotate.flag"  # Let the in-flight rotation finish, then stop.
   wait "$rotate_pid" 2>/dev/null || true
   wait "$load_pid" 2>/dev/null || true
-  if ! start_daemon "$work/serve2.log" --model "m=$armm"; then
+  if ! start_daemon "$work/serve2.log" --model "m=$art"; then
     failures=$((failures + 1)); return
   fi
   "$acbm" query --socket "$serve_sock" --model m "${target_args[@]}" \

@@ -157,9 +157,6 @@ void print_usage(std::ostream& out) {
          "             [--drift-z Z (3.0)] [--drift-hours K (3)]\n"
          "             [--ema-alpha A (0.2)] [--refit-retries N (3)]\n"
          "             [--refit-backoff-ms MS (5)]\n"
-         "  pack       convert a framed model.art into a zero-copy mmap\n"
-         "             .armm serving artifact (O(µs) startup; DESIGN.md §8)\n"
-         "             --model FILE --out FILE\n"
          "  serve      batched concurrent forecast daemon over .armm/.art\n"
          "             models; hot-swaps generations on artifact rotation\n"
          "             --model NAME=FILE (repeatable) [--socket PATH]\n"
@@ -436,9 +433,9 @@ int cmd_fit(const ArgMap& args, std::ostream& out, std::ostream& err) {
 
   core::AdversaryModel model(opts);
   model.fit(dataset, ip_map);
-  std::ostringstream body;
-  model.save(body);
-  durable::save_artifact(model_path, "adversary_model", 4, body.str());
+  durable::save_artifact(model_path, core::armm::kFrameKind,
+                         core::armm::kFrameVersion,
+                         core::armm::pack_model(model));
   info << "fitted on " << dataset.size() << " attacks; model saved to "
        << model_path << "\n";
   if (checkpoint && !checkpoint->report().clean()) {
@@ -663,8 +660,7 @@ int cmd_predict(const ArgMap& args, std::ostream& out, std::ostream& err) {
   const std::string report_dest = args.get("fit-report").value_or("");
   std::ostream& info = report_dest == "-" ? err : out;
   // One engine for every source: a saved .armm maps in place, a model.art
-  // (or legacy stream) is re-packed by load_any, and a fresh fit is packed
-  // in memory.
+  // is unframed by load_any, and a fresh fit is packed in memory.
   core::ServingModel serving;
   core::FitReport report;  // Stays empty for a loaded model, as before.
   if (const auto model_path = args.get("model")) {
@@ -715,21 +711,7 @@ int cmd_predict(const ArgMap& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-// --- serving: pack / serve / query ------------------------------------------
-
-int cmd_pack(const ArgMap& args, std::ostream& out, std::ostream&) {
-  args.reject_unknown({"model", "out"});
-  const std::string model_path = args.require("model");
-  const std::string out_path = args.require("out");
-  // load_any maps + validates the framed artifact in place (no payload
-  // copy) before deserializing and re-packing; an .armm input round-trips.
-  const core::ServingModel packed = core::ServingModel::load_any(model_path);
-  durable::atomic_write_file(out_path, packed.image());
-  out << "packed " << model_path << " -> " << out_path << " ("
-      << packed.image().size() << " bytes, " << packed.targets().size()
-      << " targets)\n";
-  return 0;
-}
+// --- serving: serve / query ------------------------------------------------
 
 std::atomic<bool> g_serve_stop{false};
 void serve_signal_handler(int) { g_serve_stop.store(true); }
@@ -1184,10 +1166,6 @@ int run(std::span<const std::string> args_in, std::ostream& out,
       if (args[0] == "ingest") {
         ACBM_SPAN("cli.ingest");
         return cmd_ingest(options, out, err);
-      }
-      if (args[0] == "pack") {
-        ACBM_SPAN("cli.pack");
-        return cmd_pack(options, out, err);
       }
       if (args[0] == "serve") {
         ACBM_SPAN("cli.serve");

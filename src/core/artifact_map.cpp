@@ -1,6 +1,7 @@
 #include "core/artifact_map.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <set>
 #include <stdexcept>
@@ -277,18 +278,28 @@ std::string pack_model(const AdversaryModel& model) {
   Builder b;
 
   // Families: the exact per-family series predict_next_attack extracts at
-  // query time, precomputed once here with the same function.
+  // query time, precomputed once here with the same function. Baselines
+  // are ordered by family and exist only for families with >= 2 attacks.
   const std::size_t family_count = dataset.family_names().size();
+  auto baseline = model.drift_baselines().begin();
   for (std::size_t f = 0; f < family_count; ++f) {
     const auto family = static_cast<std::uint32_t>(f);
     const FamilySeries series =
-        extract_family_series(dataset, family, ip_map, nullptr);
+        extract_family_forecast_series(dataset, family);
     FamilyRec rec;
     rec.family = family;
     rec.name = b.put_chars(dataset.family_names()[f]);
     rec.magnitude = b.put_f64(series.magnitude);
     rec.hour = b.put_f64(series.hour);
     rec.interval = b.put_f64(series.interval_s);
+    if (baseline != model.drift_baselines().end() &&
+        baseline->family == family) {
+      rec.drift = {1, 0, baseline->hours, baseline->rate_mean,
+                   baseline->rate_std, baseline->magnitude_mean,
+                   baseline->magnitude_std, baseline->interval_mean,
+                   baseline->interval_residual_std};
+      ++baseline;
+    }
     const TemporalModel* tm = st.temporal(family);
     rec.has_temporal = tm != nullptr ? 1 : 0;
     for (std::size_t s = 0; s < kTemporalSeriesCount; ++s) {
@@ -438,7 +449,34 @@ void check_linear(const LinearRec& rec, std::size_t f64_len,
   }
 }
 
+void check_drift(const DriftRec& rec) {
+  if (rec.present == 0) return;
+  const double values[] = {rec.hours,          rec.rate_mean,
+                           rec.rate_std,       rec.magnitude_mean,
+                           rec.magnitude_std,  rec.interval_mean,
+                           rec.interval_residual_std};
+  if (rec.present != 1 ||
+      !std::all_of(std::begin(values), std::end(values),
+                   [](double v) { return std::isfinite(v); }) ||
+      !(rec.hours > 0.0) || rec.rate_std < 0.0 || rec.magnitude_std < 0.0 ||
+      rec.interval_residual_std < 0.0) {
+    throw corrupt(LoadError::kParse, "family drift baseline is malformed");
+  }
+}
+
 }  // namespace
+
+std::vector<FamilyDriftBaseline> drift_baselines(const ArtifactView& view) {
+  std::vector<FamilyDriftBaseline> out;
+  for (const FamilyRec& rec : view.families()) {
+    if (rec.drift.present == 0) continue;
+    const DriftRec& d = rec.drift;
+    out.push_back({rec.family, d.hours, d.rate_mean, d.rate_std,
+                   d.magnitude_mean, d.magnitude_std, d.interval_mean,
+                   d.interval_residual_std});
+  }
+  return out;
+}
 
 const TargetRec* ArtifactView::target(net::Asn asn) const noexcept {
   const auto it = std::lower_bound(
@@ -594,6 +632,7 @@ ArtifactView ArtifactView::parse(std::string_view data, bool verify_crc) {
     check_ref(rec.magnitude, nf64, "family magnitude");
     check_ref(rec.hour, nf64, "family hour");
     check_ref(rec.interval, nf64, "family interval");
+    check_drift(rec.drift);
   }
   for (const TemporalSlotRec& slot : view.temporal_slots_) {
     check_arima(slot.arima, nf64, nf32, "temporal arima");

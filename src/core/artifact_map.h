@@ -1,12 +1,14 @@
-// The mmap-native serving artifact (`.armm`, written by `acbm pack`): the
-// kenlm idiom applied to the adversary model. Every number the predict
-// path needs — ARIMA coefficient tables, NAR/MLP weight blocks (f64
-// row-major AND the transposed f32 layout gemv_t_f32 wants), combining-tree
-// split/threshold/leaf arrays, per-family and per-target history series,
-// and the per-attack source-AS distributions — is laid out in typed pools
-// referenced by (offset, length) records, so the file is usable in place:
-// startup is mmap + header/CRC validation, zero deserialization, O(µs)
-// regardless of model size.
+// The mmap-native model artifact (`.armm`): the kenlm idiom applied to the
+// adversary model. It is the one published model format: `acbm fit` and
+// `acbm ingest` write it as the payload of a CRC-framed `model.art`
+// (AdversaryModel::save_framed), and a raw image maps in place. Every
+// number the predict path needs — ARIMA coefficient tables, NAR/MLP weight
+// blocks (f64 row-major AND the transposed f32 layout gemv_t_f32 wants),
+// combining-tree split/threshold/leaf arrays, per-family and per-target
+// history series, and the per-attack source-AS distributions — is laid out
+// in typed pools referenced by (offset, length) records, so the file is
+// usable in place: startup is mmap + header/CRC validation, zero
+// deserialization, O(µs) regardless of model size.
 //
 // On-disk layout (all little-endian, natural C++ alignment):
 //
@@ -17,7 +19,8 @@
 //   --- 64-byte-aligned sections ---
 //   kMeta          one MetaRec (counts, window_start, combiner models)
 //   kPoolF64/F32/U32/I64/Chars   the typed pools every Ref points into
-//   kFamilies      FamilyRec[family_count]      (family id == index)
+//   kFamilies      FamilyRec[family_count]      (family id == index,
+//                                                with its drift baseline)
 //   kTemporalSlots TemporalSlotRec[family_count * kTemporalSeriesCount]
 //   kTargets       TargetRec[target_count]      (sorted by ASN)
 //   kSpatialSlots  SpatialSlotRec[target_count * kSpatialSeriesCount]
@@ -33,7 +36,7 @@
 //
 // Corruption surfaces as the durable.h LoadError taxonomy (kBadMagic /
 // kTruncated / kBadChecksum / kVersionUnsupported / kParse) — same
-// contract as the framed text artifacts, minus the copy.
+// contract as every framed artifact, minus the copy.
 #pragma once
 
 #include <cstddef>
@@ -42,18 +45,25 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <vector>
 
 #include "net/ip_space.h"
 #include "trace/dataset.h"
 
 namespace acbm::core {
 
-class AdversaryModel;  // pipeline.h
+class AdversaryModel;         // pipeline.h
+struct FamilyDriftBaseline;   // pipeline.h
 
 namespace armm {
 
 inline constexpr char kMagic[8] = {'A', 'C', 'B', 'M', 'M', 'M', '1', '\0'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
+/// The durable.h frame `model.art` wraps the image in. Versions 3 and 4
+/// were the retired whole-model text format; they fail to load
+/// (kVersionUnsupported) and must be refitted.
+inline constexpr std::string_view kFrameKind = "adversary_model";
+inline constexpr int kFrameVersion = 5;
 inline constexpr std::uint32_t kEndianCheck = 0x01020304;
 inline constexpr std::size_t kSectionAlign = 64;
 
@@ -127,8 +137,24 @@ struct TemporalSlotRec {
 };
 static_assert(sizeof(TemporalSlotRec) == 112);
 
-/// Per-family record: the pack-time extract_family_series() output the
-/// predict path reads, plus the display name. Index == family id.
+/// A family's fit-time FamilyDriftBaseline (core/pipeline.h): the
+/// reference the ingest drift monitor z-scores live behaviour against.
+struct DriftRec {
+  std::uint32_t present = 0;  ///< 1 when the fit recorded a baseline.
+  std::uint32_t pad = 0;
+  double hours = 0.0;
+  double rate_mean = 0.0;
+  double rate_std = 0.0;
+  double magnitude_mean = 0.0;
+  double magnitude_std = 0.0;
+  double interval_mean = 0.0;
+  double interval_residual_std = 0.0;
+};
+static_assert(sizeof(DriftRec) == 64);
+
+/// Per-family record: the pack-time extract_family_forecast_series() output
+/// the predict path reads, the display name, and the drift baseline.
+/// Index == family id.
 struct FamilyRec {
   std::uint32_t family = 0;
   std::uint32_t has_temporal = 0;  ///< st.temporal(family) != nullptr.
@@ -136,8 +162,9 @@ struct FamilyRec {
   Ref magnitude;  ///< f64 pool.
   Ref hour;       ///< f64 pool.
   Ref interval;   ///< f64 pool (interval_s).
+  DriftRec drift;
 };
-static_assert(sizeof(FamilyRec) == 72);
+static_assert(sizeof(FamilyRec) == 136);
 
 /// One MLP layer: f64 row-major [out x in] (bit-identical forward via
 /// stats::gemv) and the transposed f32 layout [in x out] for gemv_t_f32.
@@ -342,13 +369,19 @@ class ArtifactView {
   std::span<const char> pool_chars_;
 };
 
-/// Serializes a fitted (or loaded) AdversaryModel into a complete `.armm`
-/// file image. Everything predict_next_attack touches at query time is
-/// precomputed here with the exact same functions the f64 path uses
-/// (extract_family_series / extract_target_series /
+/// Serializes a fitted AdversaryModel into a complete `.armm` file image.
+/// Everything predict_next_attack touches at query time is precomputed
+/// here with the exact same functions the f64 path uses
+/// (extract_family_forecast_series / extract_target_series /
 /// source_asn_distribution), so serving never needs the dataset or IP map.
+/// The family drift baselines ride along for the ingest drift monitor.
 /// Throws std::logic_error when the model is not fitted.
 [[nodiscard]] std::string pack_model(const AdversaryModel& model);
+
+/// The drift baselines stored in an image, in family order: equal field for
+/// field to AdversaryModel::drift_baselines() of the packed fit.
+[[nodiscard]] std::vector<FamilyDriftBaseline> drift_baselines(
+    const ArtifactView& view);
 
 }  // namespace armm
 }  // namespace acbm::core

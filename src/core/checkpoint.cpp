@@ -58,7 +58,7 @@ std::optional<std::string> parse_marker(const fs::path& path,
   if (size_ec || size == 0) return std::nullopt;
   std::string payload;
   try {
-    payload = durable::load_artifact(path, kMarkerKind, 1, 1, false, nullptr,
+    payload = durable::load_artifact(path, kMarkerKind, 1, 1, nullptr,
                                      /*quarantine_on_error=*/false);
   } catch (const durable::LoadFailure&) {
     return std::nullopt;
@@ -188,7 +188,7 @@ std::optional<std::string> CheckpointDir::load(std::string_view stage) {
         // be a racing publisher mid-rename. Only the final attempt condemns
         // the file (quarantine + report event).
         std::string payload = durable::load_artifact(
-            candidate, kind, 1, 1, false, last ? &report_ : nullptr,
+            candidate, kind, 1, 1, last ? &report_ : nullptr,
             /*quarantine_on_error=*/last);
         if (gen > 0) {
           report_.generation = gen;

@@ -337,12 +337,6 @@ std::string read_file(const std::filesystem::path& path) {
   return contents.str();
 }
 
-std::string read_stream(std::istream& is) {
-  std::ostringstream contents;
-  contents << is.rdbuf();
-  return contents.str();
-}
-
 void atomic_write_file(const std::filesystem::path& path,
                        std::string_view contents) {
   const std::filesystem::path tmp = path.string() + ".tmp";
@@ -468,7 +462,6 @@ void LoadReport::write(std::ostream& os) const {
     }
     os << '\n';
   }
-  if (legacy) os << "loaded legacy unframed artifact\n";
   if (generation > 0) {
     os << "fell back to checkpoint generation " << generation << '\n';
   }
@@ -489,14 +482,10 @@ std::filesystem::path quarantine(const std::filesystem::path& path) {
 
 std::string load_artifact(const std::filesystem::path& path,
                           std::string_view kind, int min_version,
-                          int max_version, bool legacy_ok, LoadReport* report,
+                          int max_version, LoadReport* report,
                           bool quarantine_on_error) {
   const std::string data = read_file(path);
   if (!looks_framed(data)) {
-    if (legacy_ok) {
-      if (report != nullptr) report->legacy = true;
-      return data;
-    }
     throw LoadFailure(LoadError::kBadMagic,
                       "durable: " + path.string() + " is not a framed " +
                           std::string(kind) + " artifact");

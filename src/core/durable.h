@@ -26,9 +26,7 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <istream>
-#include <optional>
-#include <sstream>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -64,7 +62,7 @@ enum class LoadError {
   kIo,                  ///< File missing/unreadable or a write failed.
   kTruncated,           ///< Fewer bytes than the frame header promised.
   kBadChecksum,         ///< Payload CRC32C mismatch (bit rot, partial write).
-  kBadMagic,            ///< Not a framed artifact (and legacy not allowed).
+  kBadMagic,            ///< Not a framed artifact.
   kVersionUnsupported,  ///< Framed, intact, but a schema we cannot read.
   kParse,               ///< Frame/payload intact but contents unparseable.
 };
@@ -108,8 +106,8 @@ struct Frame {
 [[nodiscard]] std::string frame_payload(std::string_view kind, int version,
                                         std::string_view payload);
 
-/// True when `data` begins with the frame magic (cheap pre-check used to
-/// route legacy unframed artifacts to their old parser).
+/// True when `data` begins with the frame magic (cheap pre-check that lets
+/// the CLI accept bare outside datasets and IP maps next to framed ones).
 [[nodiscard]] bool looks_framed(std::string_view data) noexcept;
 
 /// Parses a framed blob. Throws LoadFailure with kBadMagic / kTruncated /
@@ -190,9 +188,6 @@ struct FramedView {
 /// or read.
 [[nodiscard]] std::string read_file(const std::filesystem::path& path);
 
-/// Drains a stream to a string (for the framed stream-based loaders).
-[[nodiscard]] std::string read_stream(std::istream& is);
-
 /// Atomic durable write: contents go to `<path>.tmp`, are fsynced, then
 /// renamed over `path`, and the parent directory is fsynced (so a power
 /// loss cannot roll back the publication). A crash (or an injected
@@ -228,11 +223,10 @@ struct LoadEvent {
 /// What recovery did while loading an artifact (or a checkpoint run).
 struct LoadReport {
   std::vector<LoadEvent> events;  ///< Corrupt files, in encounter order.
-  bool legacy = false;       ///< Parsed as a legacy unframed artifact.
   int generation = 0;        ///< 0 = primary file; N = fell back N gens.
 
   [[nodiscard]] bool clean() const noexcept {
-    return events.empty() && !legacy && generation == 0;
+    return events.empty() && generation == 0;
   }
   /// One human-readable line per event/flag.
   void write(std::ostream& os) const;
@@ -243,42 +237,16 @@ struct LoadReport {
 /// failed (the caller still treats the artifact as unusable).
 std::filesystem::path quarantine(const std::filesystem::path& path);
 
-/// Shared framed-or-legacy stream loader used by every model's
-/// load_framed(): unwraps a framed stream (kind policing, supported
-/// [min_version, max_version]) or passes legacy unframed bytes straight
-/// through, then invokes `parse(std::istream&)` on the payload. Any parse
-/// exception surfaces as LoadFailure(kParse) — corruption or schema drift
-/// is always a typed error, never a crash.
-template <typename Parse>
-auto load_framed_stream(std::istream& is, std::string_view kind,
-                        int min_version, int max_version, Parse&& parse) {
-  const std::string data = read_stream(is);
-  const bool legacy = !looks_framed(data);
-  std::istringstream body(legacy ? data
-                                 : unwrap(data, kind, min_version,
-                                          max_version));
-  try {
-    return parse(body);
-  } catch (const LoadFailure&) {
-    throw;
-  } catch (const std::exception& e) {
-    throw LoadFailure(LoadError::kParse,
-                      std::string(kind) + (legacy ? " (legacy format)" : "") +
-                          ": " + e.what());
-  }
-}
-
 /// Reads and verifies a framed artifact file. On corruption the file is
 /// quarantined, the event is recorded in `report`, and a typed LoadFailure
-/// is thrown. When `legacy_ok`, unframed content is returned as-is with
-/// `report->legacy` set (for pre-framing v2 artifacts); intact files with a
-/// merely unsupported version are NOT quarantined. Pass
+/// is thrown. Unframed content is kBadMagic and, like an intact file with a
+/// merely unsupported version, is NOT quarantined. Pass
 /// `quarantine_on_error = false` to leave a corrupt file in place (readers
 /// that retry a possibly-transient bad read before condemning the artifact,
 /// e.g. CheckpointDir::load racing a concurrent publisher).
 [[nodiscard]] std::string load_artifact(const std::filesystem::path& path,
                                         std::string_view kind, int min_version,
-                                        int max_version, bool legacy_ok,
+                                        int max_version,
                                         LoadReport* report = nullptr,
                                         bool quarantine_on_error = true);
 

@@ -70,40 +70,17 @@ double source_distribution_coefficient(const trace::Attack& attack,
   return 1000.0 * intra / dt;
 }
 
-FamilySeries extract_family_series(const trace::Dataset& dataset,
-                                   std::uint32_t family,
-                                   const net::IpToAsnMap& ip_map,
-                                   net::ValleyFreeDistance* distance) {
+FamilySeries extract_family_forecast_series(const trace::Dataset& dataset,
+                                            std::uint32_t family) {
   FamilySeries out;
   out.attack_indices = dataset.attacks_of_family(family);
   const std::size_t n = out.attack_indices.size();
   out.magnitude.reserve(n);
-  out.activity.reserve(n);
-  out.norm_magnitude.reserve(n);
-  out.source_coeff.reserve(n);
   out.interval_s.reserve(n);
   out.hour.reserve(n);
-  out.day.reserve(n);
-  out.duration_s.reserve(n);
-
-  double cumulative_bots = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
     const trace::Attack& attack = dataset.attacks()[out.attack_indices[k]];
-    const double magnitude = static_cast<double>(attack.magnitude());
-    out.magnitude.push_back(magnitude);
-
-    // Eq. (1): attacks so far divided by days elapsed so far.
-    const double days_elapsed = std::max(
-        1.0, static_cast<double>(attack.start - dataset.window_start()) / 86400.0);
-    out.activity.push_back(static_cast<double>(k + 1) / days_elapsed);
-
-    // Eq. (2): current active bots over cumulative bots observed.
-    cumulative_bots += magnitude;
-    out.norm_magnitude.push_back(magnitude / cumulative_bots);
-
-    out.source_coeff.push_back(
-        source_distribution_coefficient(attack, ip_map, distance));
-
+    out.magnitude.push_back(static_cast<double>(attack.magnitude()));
     if (k == 0) {
       out.interval_s.push_back(0.0);
     } else {
@@ -112,11 +89,43 @@ FamilySeries extract_family_series(const trace::Dataset& dataset,
       out.interval_s.push_back(
           static_cast<double>(attack.start - prev.start));
     }
+    out.hour.push_back(static_cast<double>(
+        trace::decompose_timestamp(attack.start, dataset.window_start())
+            .hour));
+  }
+  return out;
+}
 
-    const trace::DayHour dh =
-        trace::decompose_timestamp(attack.start, dataset.window_start());
-    out.hour.push_back(static_cast<double>(dh.hour));
-    out.day.push_back(static_cast<double>(dh.day));
+FamilySeries extract_family_series(const trace::Dataset& dataset,
+                                   std::uint32_t family,
+                                   const net::IpToAsnMap& ip_map,
+                                   net::ValleyFreeDistance* distance) {
+  FamilySeries out = extract_family_forecast_series(dataset, family);
+  const std::size_t n = out.attack_indices.size();
+  out.activity.reserve(n);
+  out.norm_magnitude.reserve(n);
+  out.source_coeff.reserve(n);
+  out.day.reserve(n);
+  out.duration_s.reserve(n);
+
+  double cumulative_bots = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const trace::Attack& attack = dataset.attacks()[out.attack_indices[k]];
+
+    // Eq. (1): attacks so far divided by days elapsed so far.
+    const double days_elapsed = std::max(
+        1.0, static_cast<double>(attack.start - dataset.window_start()) / 86400.0);
+    out.activity.push_back(static_cast<double>(k + 1) / days_elapsed);
+
+    // Eq. (2): current active bots over cumulative bots observed.
+    cumulative_bots += out.magnitude[k];
+    out.norm_magnitude.push_back(out.magnitude[k] / cumulative_bots);
+
+    out.source_coeff.push_back(
+        source_distribution_coefficient(attack, ip_map, distance));
+
+    out.day.push_back(static_cast<double>(
+        trace::decompose_timestamp(attack.start, dataset.window_start()).day));
     out.duration_s.push_back(attack.duration_s);
   }
   return out;

@@ -29,6 +29,12 @@ struct FamilySeries {
   std::vector<double> duration_s;
 };
 
+/// The three family series a next-attack forecast reads: magnitude, hour
+/// and interval_s, plus attack_indices; the other fields stay empty. No
+/// IP->ASN lookups, so it is cheap enough to run at pack and predict time.
+[[nodiscard]] FamilySeries extract_family_forecast_series(
+    const trace::Dataset& dataset, std::uint32_t family);
+
 /// Extracts the family series. `distance` may be null, in which case
 /// source_coeff is computed with unit inter-AS distance (intra-AS term
 /// only). All series are aligned: entry k describes the k-th attack of the

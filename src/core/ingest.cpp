@@ -11,9 +11,11 @@
 #include <stdexcept>
 #include <thread>
 
+#include "core/artifact_map.h"
 #include "core/checkpoint.h"
 #include "core/observe.h"
 #include "core/robust.h"
+#include "core/serving.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define ACBM_INGEST_POSIX_IO 1
@@ -549,12 +551,8 @@ RefitResult Ingestor::check_and_refit(bool force) {
   if (!initialized()) {
     throw std::logic_error("ingest: directory not initialized (run --init)");
   }
-  std::vector<FamilyDriftBaseline> baselines;
-  {
-    std::ifstream is(model_path(), std::ios::binary);
-    const AdversaryModel model = AdversaryModel::load_framed(is);
-    baselines = model.drift_baselines();
-  }
+  const std::vector<FamilyDriftBaseline> baselines =
+      armm::drift_baselines(ServingModel::load_any(model_path()).view());
   const trace::Dataset cumulative = log_.cumulative();
   std::vector<DriftTrip> trips =
       detect_drift(cumulative, baselines, last_refit_hour(), log_.last_hour(),
@@ -603,8 +601,7 @@ std::map<std::string, std::uint64_t> Ingestor::stage_input_hashes(
 
 net::IpToAsnMap Ingestor::load_ipmap() const {
   const std::string payload =
-      durable::load_artifact(opts_.dir / "ipmap.art", "ipmap", 1, 1,
-                             /*legacy_ok=*/false);
+      durable::load_artifact(opts_.dir / "ipmap.art", "ipmap", 1, 1);
   std::istringstream is(payload);
   return net::IpToAsnMap::load(is);
 }
@@ -625,8 +622,7 @@ Ingestor::InputsState Ingestor::read_inputs_state() const {
   const fs::path path = opts_.dir / "inputs.state";
   std::string payload;
   try {
-    payload = durable::load_artifact(path, "ingest_inputs", 1, 1,
-                                     /*legacy_ok=*/false);
+    payload = durable::load_artifact(path, "ingest_inputs", 1, 1);
   } catch (const durable::LoadFailure&) {
     // Missing or corrupt (the corrupt copy is quarantined by the loader):
     // with no recorded hashes every stage counts as changed, so the next
@@ -723,8 +719,7 @@ RefitResult Ingestor::refit(const trace::Dataset& cumulative,
 void Ingestor::publish(const AdversaryModel& model,
                        const std::map<std::string, std::uint64_t>& hashes,
                        std::size_t refit_hour) {
-  std::ostringstream body;
-  model.save(body);
+  const std::string image = armm::pack_model(model);
 
   // Generation rotation with a COPY (not a rename) of the live model, so
   // model.art stays loadable at every instant of publication:
@@ -741,7 +736,7 @@ void Ingestor::publish(const AdversaryModel& model,
     }
     fs::copy_file(live, g1, fs::copy_options::overwrite_existing, ec);
   }
-  durable::save_artifact(live, "adversary_model", 4, body.str());
+  durable::save_artifact(live, armm::kFrameKind, armm::kFrameVersion, image);
 
   // inputs.state last: a crash between the model publish and this write
   // leaves stale hashes, which at worst re-invalidate already-fresh stages

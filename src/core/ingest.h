@@ -239,9 +239,10 @@ struct RefitResult {
 ///   quarantine/            rejected snapshot bytes
 ///   ipmap.art              the IP->ASN map, fixed at init
 ///   checkpoint/            stage checkpoints (CheckpointDir)
-///   model.art              the live model ("adversary_model" framed v4 —
-///                          byte-identical to `acbm fit` on the cumulative
-///                          dataset)
+///   model.art              the live model (the .armm image in the
+///                          "adversary_model" v5 frame, drift baselines
+///                          included — byte-identical to `acbm fit` on the
+///                          cumulative dataset)
 ///   model.art.g1/.g2       previous generations (copied, not renamed, so
 ///                          model.art is loadable at every instant)
 ///   inputs.state           per-stage input hashes + last refit hour
@@ -261,9 +262,10 @@ class Ingestor {
   /// Validates + appends one hourly snapshot (see SnapshotLog::append).
   AppendOutcome append(std::size_t hour, std::string_view snapshot_csv);
 
-  /// Drift check; refits when a family tripped (or `force`). Returns what
-  /// happened. When RefitResult::fallback the previous generation is still
-  /// live and the caller should surface exit code 6.
+  /// Drift check against the baselines stored in the published model.art
+  /// (armm::drift_baselines); refits when a family tripped (or `force`).
+  /// Returns what happened. When RefitResult::fallback the previous
+  /// generation is still live and the caller should surface exit code 6.
   RefitResult check_and_refit(bool force);
 
   [[nodiscard]] const SnapshotLog& log() const noexcept { return log_; }

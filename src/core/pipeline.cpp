@@ -4,13 +4,12 @@
 #include <cmath>
 #include <span>
 #include <stdexcept>
-#include <sstream>
 #include <tuple>
 #include <utility>
 
+#include "core/artifact_map.h"
 #include "core/durable.h"
 #include "core/features.h"
-#include "stats/serialize.h"
 
 namespace acbm::core {
 
@@ -39,7 +38,6 @@ void AdversaryModel::fit(const trace::Dataset& dataset,
                          const net::IpToAsnMap& ip_map) {
   dataset_ = dataset;
   ip_map_ = ip_map;
-  observed_.clear();
   st_ = SpatiotemporalModel(opts_);
   st_.fit(dataset_, ip_map_);
   fitted_ = true;
@@ -60,7 +58,7 @@ void AdversaryModel::compute_drift_baselines() {
        family < static_cast<std::uint32_t>(dataset_.family_names().size());
        ++family) {
     const FamilySeries series =
-        extract_family_series(dataset_, family, ip_map_, nullptr);
+        extract_family_forecast_series(dataset_, family);
     const std::size_t n = series.magnitude.size();
     if (n < 2) continue;  // One attack pins no spread on any channel.
     FamilyDriftBaseline base;
@@ -95,110 +93,9 @@ void AdversaryModel::compute_drift_baselines() {
   }
 }
 
-void AdversaryModel::observe(const trace::Attack& attack) {
-  if (!fitted_) throw std::logic_error("AdversaryModel::observe: not fitted");
-  observed_.push_back(attack);
-}
-
-void AdversaryModel::save(std::ostream& os) const {
-  namespace io = acbm::stats::io;
-  io::write_header(os, "adversary_model", 2);
-  io::write_scalar(os, "fitted", fitted_ ? 1 : 0);
-  io::write_scalar(os, "magnitude_window", opts_.magnitude_window);
-  io::write_scalar(os, "drift_families", drift_baselines_.size());
-  for (const FamilyDriftBaseline& base : drift_baselines_) {
-    os << "drift " << base.family << ' ' << base.hours << ' ' << base.rate_mean
-       << ' ' << base.rate_std << ' ' << base.magnitude_mean << ' '
-       << base.magnitude_std << ' ' << base.interval_mean << ' '
-       << base.interval_residual_std << '\n';
-  }
-  st_.save(os);
-
-  // Embed the dataset CSV and IP map with explicit line counts so the
-  // loader knows exactly where each block ends.
-  std::ostringstream dataset_text;
-  dataset_.save_csv(dataset_text);
-  const std::string dataset_str = dataset_text.str();
-  io::write_scalar(os, "dataset_lines",
-                   std::count(dataset_str.begin(), dataset_str.end(), '\n'));
-  os << dataset_str;
-
-  std::ostringstream ipmap_text;
-  ip_map_.save(ipmap_text);
-  const std::string ipmap_str = ipmap_text.str();
-  io::write_scalar(os, "ipmap_lines",
-                   std::count(ipmap_str.begin(), ipmap_str.end(), '\n'));
-  os << ipmap_str;
-}
-
-AdversaryModel AdversaryModel::load(std::istream& is) {
-  namespace io = acbm::stats::io;
-  // Body v2 adds the drift-baseline block; v1 bodies (pre-drift artifacts)
-  // still load with empty baselines.
-  std::string header;
-  if (!std::getline(is, header)) {
-    throw std::invalid_argument("AdversaryModel::load: missing header");
-  }
-  int body_version = 0;
-  if (header == "acbm:adversary_model:v1") body_version = 1;
-  else if (header == "acbm:adversary_model:v2") body_version = 2;
-  else {
-    throw std::invalid_argument("AdversaryModel::load: unexpected header '" +
-                                header + "'");
-  }
-  AdversaryModel model;
-  model.fitted_ = io::read_scalar<int>(is, "fitted") != 0;
-  model.opts_.magnitude_window =
-      io::read_scalar<std::size_t>(is, "magnitude_window");
-  if (body_version >= 2) {
-    const auto count = io::read_scalar<std::size_t>(is, "drift_families");
-    model.drift_baselines_.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      auto ss = io::expect_tag(is, "drift");
-      FamilyDriftBaseline base;
-      if (!(ss >> base.family >> base.hours >> base.rate_mean >>
-            base.rate_std >> base.magnitude_mean >> base.magnitude_std >>
-            base.interval_mean >> base.interval_residual_std)) {
-        throw std::invalid_argument(
-            "AdversaryModel::load: bad drift baseline");
-      }
-      model.drift_baselines_.push_back(base);
-    }
-  }
-  model.st_ = SpatiotemporalModel::load(is);
-
-  const auto read_block = [&is](std::size_t lines) {
-    std::ostringstream block;
-    std::string line;
-    for (std::size_t i = 0; i < lines; ++i) {
-      if (!std::getline(is, line)) {
-        throw std::invalid_argument("AdversaryModel::load: truncated block");
-      }
-      block << line << '\n';
-    }
-    return block.str();
-  };
-  const auto dataset_lines = io::read_scalar<std::size_t>(is, "dataset_lines");
-  std::istringstream dataset_text(read_block(dataset_lines));
-  model.dataset_ = trace::Dataset::load_csv(dataset_text);
-  const auto ipmap_lines = io::read_scalar<std::size_t>(is, "ipmap_lines");
-  std::istringstream ipmap_text(read_block(ipmap_lines));
-  model.ip_map_ = net::IpToAsnMap::load(ipmap_text);
-  return model;
-}
-
 void AdversaryModel::save_framed(std::ostream& os) const {
-  std::ostringstream body;
-  save(body);
-  os << durable::frame_payload("adversary_model", 4, body.str());
-}
-
-AdversaryModel AdversaryModel::load_framed(std::istream& is) {
-  // Framed v3 wraps a v1 body (no drift block), v4 a v2 body; the body
-  // loader branches on its own header, so both unwrap the same way.
-  return durable::load_framed_stream(
-      is, "adversary_model", 3, 4,
-      [](std::istream& body) { return load(body); });
+  os << durable::frame_payload(armm::kFrameKind, armm::kFrameVersion,
+                               armm::pack_model(*this));
 }
 
 std::optional<AttackPrediction> AdversaryModel::predict_next_attack(
@@ -206,26 +103,10 @@ std::optional<AttackPrediction> AdversaryModel::predict_next_attack(
   if (!fitted_) {
     throw std::logic_error("AdversaryModel::predict_next_attack: not fitted");
   }
-  // Combined history: fitted dataset plus live observations on this target.
-  TargetSeries target = extract_target_series(dataset_, target_asn);
+  const TargetSeries target = extract_target_series(dataset_, target_asn);
   std::vector<const trace::Attack*> target_attacks;
   for (std::size_t idx : target.attack_indices) {
     target_attacks.push_back(&dataset_.attacks()[idx]);
-  }
-  for (const trace::Attack& attack : observed_) {
-    if (attack.target_asn != target_asn) continue;
-    target_attacks.push_back(&attack);
-    target.duration_s.push_back(attack.duration_s);
-    target.magnitude.push_back(static_cast<double>(attack.magnitude()));
-    const trace::EpochSeconds prev_start =
-        target_attacks.size() >= 2
-            ? target_attacks[target_attacks.size() - 2]->start
-            : attack.start;
-    target.interval_s.push_back(static_cast<double>(attack.start - prev_start));
-    const trace::DayHour dh =
-        trace::decompose_timestamp(attack.start, dataset_.window_start());
-    target.hour.push_back(static_cast<double>(dh.hour));
-    target.day.push_back(static_cast<double>(dh.day));
   }
   if (target_attacks.empty()) return std::nullopt;
 
@@ -248,7 +129,7 @@ std::optional<AttackPrediction> AdversaryModel::predict_next_attack(
 
   // Temporal component: the family's magnitude / hour / interval forecasts.
   const FamilySeries family_series =
-      extract_family_series(dataset_, family, ip_map_, nullptr);
+      extract_family_forecast_series(dataset_, family);
   const TemporalModel* temporal = st_.temporal(family);
   StFeatures features;
   if (temporal != nullptr && !family_series.magnitude.empty()) {

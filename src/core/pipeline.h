@@ -6,7 +6,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <ostream>
 #include <unordered_map>
+#include <vector>
 
 #include "core/spatiotemporal_model.h"
 #include "net/ip_space.h"
@@ -64,29 +66,24 @@ class AdversaryModel {
   explicit AdversaryModel(SpatiotemporalOptions opts) : opts_(std::move(opts)) {}
 
   /// Fits temporal, spatial, and spatiotemporal components on the dataset
-  /// (typically the training split). The dataset and map are copied so the
-  /// model is self-contained.
+  /// (typically the training split). The dataset and map are copied: the
+  /// f64 reference predicts from them and armm::pack_model reads them.
   void fit(const trace::Dataset& dataset, const net::IpToAsnMap& ip_map);
 
   [[nodiscard]] bool fitted() const noexcept { return fitted_; }
 
   /// Predicts the next attack on a target AS from all history in the fitted
-  /// dataset plus live observations. Returns nullopt when the target has
-  /// never been attacked. This is the f64 reference that
-  /// core::ServingModel::predict mirrors.
+  /// dataset. Returns nullopt when the target has never been attacked. This
+  /// is the f64 reference that core::ServingModel::predict mirrors.
   [[nodiscard]] std::optional<AttackPrediction> predict_next_attack(
       net::Asn target_asn) const;
-
-  /// Appends newly observed attacks (e.g. the live feed) so subsequent
-  /// predictions condition on them. Does not refit the models.
-  void observe(const trace::Attack& attack);
 
   [[nodiscard]] const SpatiotemporalModel& spatiotemporal() const noexcept {
     return st_;
   }
 
-  /// Pipeline-wide degradation-ladder report of the last fit() (empty on a
-  /// loaded model; see SpatiotemporalModel::fit_report).
+  /// Pipeline-wide degradation-ladder report of the last fit() (see
+  /// SpatiotemporalModel::fit_report).
   [[nodiscard]] const FitReport& fit_report() const noexcept {
     return st_.fit_report();
   }
@@ -103,27 +100,18 @@ class AdversaryModel {
   }
 
   /// Fit-time drift baselines, one per family with >= 2 attacks, ordered by
-  /// family index. Empty on an unfitted model or one loaded from a pre-v2
-  /// body (drift monitoring then has no reference and never trips).
+  /// family index. Empty on an unfitted model. pack_model stores them in
+  /// the artifact, where armm::drift_baselines reads them back.
   [[nodiscard]] const std::vector<FamilyDriftBaseline>& drift_baselines()
       const noexcept {
     return drift_baselines_;
   }
 
-  /// Full-model serialization: fitted sub-models, the training dataset, the
-  /// IP->ASN map, and the per-family drift baselines, so a loaded model
-  /// predicts (and drift-monitors) standalone. Live observations
-  /// (observe()) are not persisted. Writes body v2; load accepts v1 bodies
-  /// (no drift block) as well.
-  void save(std::ostream& os) const;
-  [[nodiscard]] static AdversaryModel load(std::istream& is);
-
-  /// Framed (v4) serialization: the v2 body wrapped in durable.h's
-  /// magic/version/CRC32C envelope. load_framed also accepts framed v3
-  /// (v1 body) and legacy bare streams; corruption throws a typed
-  /// durable::LoadFailure.
+  /// Writes the published model artifact (`model.art`): the
+  /// armm::pack_model image in durable.h's CRC-framed envelope
+  /// (armm::kFrameKind v armm::kFrameVersion). ServingModel::load_any reads
+  /// it back; there is no reader that rebuilds an AdversaryModel.
   void save_framed(std::ostream& os) const;
-  [[nodiscard]] static AdversaryModel load_framed(std::istream& is);
 
   /// Stage checkpointing for fit() (see SpatiotemporalOptions::checkpoint).
   void set_checkpoint(StageStore* store) { opts_.checkpoint = store; }
@@ -135,7 +123,6 @@ class AdversaryModel {
   SpatiotemporalModel st_;
   trace::Dataset dataset_;
   net::IpToAsnMap ip_map_;
-  std::vector<trace::Attack> observed_;
   std::vector<FamilyDriftBaseline> drift_baselines_;
   bool fitted_ = false;
 };

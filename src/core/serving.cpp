@@ -5,7 +5,6 @@
 #include <cstring>
 #include <span>
 #include <stdexcept>
-#include <streambuf>
 #include <string>
 #include <unordered_map>
 
@@ -470,35 +469,6 @@ std::unordered_map<net::Asn, double> stored_distribution(
   return out;
 }
 
-/// Zero-copy istream over a mapped framed payload (no <spanstream> in
-/// C++20): a plain get-area over the mapping, enough for the text loaders.
-class SpanBuf : public std::streambuf {
- public:
-  explicit SpanBuf(std::string_view data) {
-    char* p = const_cast<char*>(data.data());
-    setg(p, p, p + data.size());
-  }
-};
-
-/// Deserializes an AdversaryModel body and packs it in memory. A parse
-/// error surfaces as LoadFailure(kParse), like AdversaryModel::load_framed.
-ServingModel pack_body(std::string_view body, bool legacy) {
-  SpanBuf buf(body);
-  std::istream is(&buf);
-  AdversaryModel model;
-  try {
-    model = AdversaryModel::load(is);
-  } catch (const durable::LoadFailure&) {
-    throw;
-  } catch (const std::exception& e) {
-    throw durable::LoadFailure(
-        durable::LoadError::kParse,
-        std::string("adversary_model") + (legacy ? " (legacy format)" : "") +
-            ": " + e.what());
-  }
-  return ServingModel::from_image(armm::pack_model(model));
-}
-
 }  // namespace
 
 std::string_view precision_name(Precision precision) noexcept {
@@ -546,16 +516,21 @@ ServingModel ServingModel::load_any(const std::filesystem::path& path) {
       model.loaded_ = true;
       return model;
     }
-    // Legacy bare stream (pre-framing model files): no envelope to check.
-    if (!durable::looks_framed(probe.view())) {
-      return pack_body(probe.view(), /*legacy=*/true);
-    }
   }
-  // Framed model.art: validate the frame against the mapping without
-  // copying, deserialize, re-pack in memory.
-  const durable::FramedView framed =
-      durable::load_framed_view(path, "adversary_model", 3, 4);
-  return pack_body(framed.payload, /*legacy=*/false);
+  // Framed model.art: check the frame CRC against the mapping, then copy
+  // the image into an aligned buffer (the header line leaves the payload
+  // unaligned in the mapping).
+  try {
+    const durable::FramedView framed = durable::load_framed_view(
+        path, armm::kFrameKind, armm::kFrameVersion, armm::kFrameVersion);
+    return from_image(framed.payload);
+  } catch (const durable::LoadFailure& e) {
+    if (e.code() != durable::LoadError::kVersionUnsupported) throw;
+    throw durable::LoadFailure(
+        e.code(), std::string(e.what()) +
+                      "; refit with `acbm fit` (v3/v4 were the retired "
+                      "whole-model text format)");
+  }
 }
 
 std::vector<net::Asn> ServingModel::targets() const {

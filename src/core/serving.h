@@ -8,8 +8,8 @@
 // concurrent callers with zero synchronization.
 //
 // Numeric contract: the f64 path mirrors
-// AdversaryModel::predict_next_attack on a freshly loaded model (no live
-// observations) operation for operation and is byte-identical to it. The
+// AdversaryModel::predict_next_attack of the packed fit operation for
+// operation and is byte-identical to it. The
 // f32 path runs the same composition over the f32 sections that
 // armm::pack_model writes and stays within the documented bound of the f64
 // answer (DESIGN.md §6). The serving tests assert both across every target
@@ -55,12 +55,13 @@ class ServingModel {
   /// buffer). For tests and for models packed on the fly.
   [[nodiscard]] static ServingModel from_image(std::string_view image);
 
-  /// Loads either format: .armm artifacts map directly; framed model.art
-  /// artifacts are mapped (durable::load_framed_view), deserialized, and
-  /// packed in memory. Accepts everything AdversaryModel::load_framed
-  /// accepts, legacy bare streams included; every failure is a typed
-  /// durable::LoadFailure. The daemon, `acbm predict` and `acbm pack` load
-  /// .art input through it.
+  /// Loads either container of the one image: a raw .armm maps in place; a
+  /// framed model.art (AdversaryModel::save_framed, armm::kFrameKind
+  /// v armm::kFrameVersion) has its frame CRC checked against the mapping
+  /// and its payload copied into an aligned buffer (from_image). Anything
+  /// else is a typed durable::LoadFailure: an older text model.art (v3/v4)
+  /// is kVersionUnsupported. The daemon, `acbm predict` and the ingest
+  /// drift monitor load models through it.
   [[nodiscard]] static ServingModel load_any(const std::filesystem::path& path);
 
   [[nodiscard]] bool loaded() const noexcept { return loaded_; }
@@ -86,7 +87,7 @@ class ServingModel {
   /// Size in bytes of the backing image / mapping.
   [[nodiscard]] std::size_t image_size() const noexcept;
   /// The raw .armm image bytes backing this model (mapping or owned
-  /// buffer); valid while the model is alive. `acbm pack` writes this.
+  /// buffer); valid while the model is alive.
   [[nodiscard]] std::string_view image() const noexcept;
 
  private:

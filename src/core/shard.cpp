@@ -139,7 +139,7 @@ void check_shard_plan(const fs::path& checkpoint_dir,
   std::string payload;
   try {
     payload = durable::load_artifact(plan_path(checkpoint_dir), kPlanKind, 1,
-                                     1, false, nullptr,
+                                     1, nullptr,
                                      /*quarantine_on_error=*/false);
   } catch (const durable::LoadFailure&) {
     return;  // No (readable) plan: workers may run coordinator-less.
@@ -545,8 +545,8 @@ void ShardCoordinator::aggregate_inbox() {
   for (const fs::path& file : files) {
     std::string payload;
     try {
-      payload = durable::load_artifact(file, kMetricsKind, 1, 1, false,
-                                       nullptr, /*quarantine_on_error=*/false);
+      payload = durable::load_artifact(file, kMetricsKind, 1, 1, nullptr,
+                                       /*quarantine_on_error=*/false);
     } catch (const durable::LoadFailure&) {
       continue;  // A torn snapshot costs observability, never correctness.
     }

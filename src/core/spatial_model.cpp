@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
-#include "core/durable.h"
 #include "core/observe.h"
 #include "core/parallel.h"
 #include "stats/descriptive.h"
@@ -263,17 +261,6 @@ void SpatialModel::save(std::ostream& os) const {
     io::write_scalar(os, "has_ar", slot.ar.has_value() ? 1 : 0);
     if (slot.ar) slot.ar->save(os);
   }
-}
-
-void SpatialModel::save_framed(std::ostream& os) const {
-  std::ostringstream body;
-  save(body);
-  os << durable::frame_payload("spatial", 3, body.str());
-}
-
-SpatialModel SpatialModel::load_framed(std::istream& is) {
-  return durable::load_framed_stream(
-      is, "spatial", 3, 3, [](std::istream& body) { return load(body); });
 }
 
 SpatialModel SpatialModel::load(std::istream& is) {

@@ -125,12 +125,6 @@ class SpatialModel {
   void save(std::ostream& os) const;
   [[nodiscard]] static SpatialModel load(std::istream& is);
 
-  /// Framed (v3) serialization: the v2 body wrapped in durable.h's
-  /// magic/version/CRC32C envelope. load_framed also accepts legacy bare
-  /// v2 streams; corruption throws a typed durable::LoadFailure.
-  void save_framed(std::ostream& os) const;
-  [[nodiscard]] static SpatialModel load_framed(std::istream& is);
-
  private:
   struct SeriesModel {
     std::optional<nn::NarModel> nar;     ///< kNar / kNarRetry rungs.

@@ -10,7 +10,6 @@
 #include <string>
 
 #include "core/checkpoint.h"
-#include "core/durable.h"
 #include "core/observe.h"
 #include "core/parallel.h"
 #include "stats/serialize.h"
@@ -592,18 +591,6 @@ SpatiotemporalModel SpatiotemporalModel::load(std::istream& is) {
     model.day_linear_ = acbm::stats::LinearRegression::load(is);
   }
   return model;
-}
-
-void SpatiotemporalModel::save_framed(std::ostream& os) const {
-  std::ostringstream body;
-  save(body);
-  os << durable::frame_payload("spatiotemporal", 3, body.str());
-}
-
-SpatiotemporalModel SpatiotemporalModel::load_framed(std::istream& is) {
-  return durable::load_framed_stream(
-      is, "spatiotemporal", 3, 3,
-      [](std::istream& body) { return load(body); });
 }
 
 std::string SpatiotemporalModel::save_spatial_stage() const {

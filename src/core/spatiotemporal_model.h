@@ -131,12 +131,6 @@ class SpatiotemporalModel {
   void save(std::ostream& os) const;
   [[nodiscard]] static SpatiotemporalModel load(std::istream& is);
 
-  /// Framed (v3) serialization: the v2 body wrapped in durable.h's
-  /// magic/version/CRC32C envelope. load_framed also accepts legacy bare
-  /// v2 streams; corruption throws a typed durable::LoadFailure.
-  void save_framed(std::ostream& os) const;
-  [[nodiscard]] static SpatiotemporalModel load_framed(std::istream& is);
-
  private:
   /// Checkpoint-stage payloads for fit(): the spatial map and the combining
   /// trees serialized standalone (the temporal stage reuses

@@ -1,11 +1,9 @@
 #include "core/temporal_model.h"
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
-#include "core/durable.h"
 #include "stats/descriptive.h"
 #include "stats/serialize.h"
 
@@ -262,17 +260,6 @@ void TemporalModel::save(std::ostream& os) const {
     io::write_scalar(os, "has_arima", slot.arima.has_value() ? 1 : 0);
     if (slot.arima) slot.arima->save(os);
   }
-}
-
-void TemporalModel::save_framed(std::ostream& os) const {
-  std::ostringstream body;
-  save(body);
-  os << durable::frame_payload("temporal", 3, body.str());
-}
-
-TemporalModel TemporalModel::load_framed(std::istream& is) {
-  return durable::load_framed_stream(
-      is, "temporal", 3, 3, [](std::istream& body) { return load(body); });
 }
 
 TemporalModel TemporalModel::load(std::istream& is) {

@@ -93,13 +93,6 @@ class TemporalModel {
   void save(std::ostream& os) const;
   [[nodiscard]] static TemporalModel load(std::istream& is);
 
-  /// Framed (v3) serialization: the v2 body wrapped in durable.h's
-  /// magic/version/CRC32C envelope, so truncation and bit flips are caught
-  /// before parsing. load_framed also accepts legacy bare v2 streams;
-  /// corruption throws a typed durable::LoadFailure, never a crash.
-  void save_framed(std::ostream& os) const;
-  [[nodiscard]] static TemporalModel load_framed(std::istream& is);
-
  private:
   struct SeriesModel {
     std::optional<ts::ArimaModel> arima;  ///< kArima or (order (1,0,0)) kAr.

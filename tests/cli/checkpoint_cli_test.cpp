@@ -245,7 +245,9 @@ TEST(CheckpointCli, ModelArtifactIsFramedWithChecksum) {
   ASSERT_TRUE(durable::looks_framed(bytes));
   const durable::Frame frame = durable::parse_frame(bytes);
   EXPECT_EQ(frame.kind, "adversary_model");
-  EXPECT_EQ(frame.version, 4);
+  EXPECT_EQ(frame.version, 5);
+  // The payload is the .armm image itself.
+  EXPECT_EQ(frame.payload.substr(0, 7), "ACBMMM1");
 }
 
 }  // namespace

@@ -59,6 +59,11 @@ TEST(Cli, UnknownCommandFails) {
   std::string err;
   EXPECT_EQ(run_cli({"frobnicate"}, &out, &err), 2);
   EXPECT_NE(err.find("unknown command"), std::string::npos);
+  // Commands that no longer exist are rejected like any other.
+  EXPECT_EQ(run_cli({"pack", "--model", "model.art", "--out", "model.armm"},
+                    &out, &err),
+            2);
+  EXPECT_NE(err.find("unknown command 'pack'"), std::string::npos);
 }
 
 TEST(Cli, UnknownOptionFails) {

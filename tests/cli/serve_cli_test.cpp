@@ -1,7 +1,7 @@
 // Daemon tests: protocol robustness (garbage, truncation, oversize,
 // slow-loris, mid-response disconnect), batching/coalescing, LRU
 // eviction, generation hot-swap under concurrent load at 1/4/16 worker
-// threads with zero lost requests, and the pack/serve/query CLI surface
+// threads with zero lost requests, and the serve/query CLI surface
 // (query output byte-identical to the batch predict CLI).
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -53,8 +53,9 @@ SpatiotemporalOptions fast_options() {
   return opts;
 }
 
-/// One fitted model, saved in both formats, shared by every test (the
-/// directory and fixture leak deliberately; fitting dominates runtime).
+/// One fitted model, saved raw (.armm) and framed (.art), shared by every
+/// test (the directory and fixture leak deliberately; fitting dominates
+/// runtime).
 struct Fixture {
   TempDir* dir = new TempDir();
   trace::World world = trace::build_world(trace::small_world_options(37));
@@ -394,34 +395,29 @@ int run_cli(std::initializer_list<std::string> args, std::string* out_text,
   return code;
 }
 
-TEST(ServeCli, PackProducesMappableArtifact) {
+TEST(ServeCli, TextModelArtIsVersionUnsupported) {
+  // A v4 frame is the retired whole-model text format: the version check
+  // rejects it before any payload byte is read.
   TempDir dir;
-  const fs::path out_path = dir.path / "packed.armm";
-  std::string out;
-  ASSERT_EQ(run_cli({"pack", "--model", fx().art_path.string(), "--out",
-                     out_path.string()},
-                    &out),
-            0);
-  EXPECT_NE(out.find("packed"), std::string::npos);
-  const ServingModel mapped = ServingModel::map_file(out_path);
-  EXPECT_EQ(mapped.image(), fx().serving.image());
-
-  std::string err;
-  EXPECT_EQ(run_cli({"pack", "--model", (dir.path / "nope.art").string(),
-                     "--out", out_path.string()},
-                    &out, &err),
-            3);
+  const fs::path old_art = dir.path / "model.art";
+  durable::atomic_write_file(
+      old_art, durable::frame_payload("adversary_model", 4,
+                                      "acbm:adversary_model:v2\nfitted 1\n"));
+  try {
+    (void)ServingModel::load_any(old_art);
+    FAIL() << "a v4 model.art loaded";
+  } catch (const durable::LoadFailure& e) {
+    EXPECT_EQ(e.code(), durable::LoadError::kVersionUnsupported);
+    EXPECT_NE(std::string(e.what()).find("refit"), std::string::npos);
+  }
+  std::string out, err;
+  EXPECT_EQ(run_cli({"predict", "--model", old_art.string()}, &out, &err), 3);
+  EXPECT_NE(err.find("version_unsupported"), std::string::npos) << err;
 }
 
 TEST(ServeCli, QueryOutputByteIdenticalToPredictCli) {
   ServerFixture sf;
   TempDir dir;
-  // A legacy bare (unframed) model stream must still load.
-  const fs::path legacy_path = dir.path / "legacy.model";
-  {
-    std::ofstream out(legacy_path, std::ios::binary);
-    fx().model.save(out);
-  }
   std::vector<std::string> target_args;
   for (net::Asn asn : fx().serving.targets()) {
     target_args.push_back("--target");
@@ -435,8 +431,7 @@ TEST(ServeCli, QueryOutputByteIdenticalToPredictCli) {
                       target_args.end());
     std::ostringstream query_out, err;
     ASSERT_EQ(cli::run(query_args, query_out, err), 0) << err.str();
-    for (const fs::path& model :
-         {fx().art_path, fx().armm_path, legacy_path}) {
+    for (const fs::path& model : {fx().art_path, fx().armm_path}) {
       std::vector<std::string> predict_args = {
           "predict", "--model", model.string(), "--precision", precision};
       predict_args.insert(predict_args.end(), target_args.begin(),

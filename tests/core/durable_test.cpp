@@ -282,8 +282,7 @@ TEST(LoadArtifactTest, RoundTripsWithCleanReport) {
   const fs::path target = tmp.file("model.art");
   save_artifact(target, "model", 2, "the payload");
   LoadReport report;
-  EXPECT_EQ(load_artifact(target, "model", 1, 3, false, &report),
-            "the payload");
+  EXPECT_EQ(load_artifact(target, "model", 1, 3, &report), "the payload");
   EXPECT_TRUE(report.clean());
 }
 
@@ -297,7 +296,7 @@ TEST(LoadArtifactTest, CorruptFileIsQuarantinedAndTyped) {
 
   LoadReport report;
   try {
-    (void)load_artifact(target, "model", 1, 3, false, &report);
+    (void)load_artifact(target, "model", 1, 3, &report);
     FAIL() << "expected LoadFailure";
   } catch (const LoadFailure& e) {
     EXPECT_EQ(e.code(), LoadError::kBadChecksum);
@@ -311,22 +310,21 @@ TEST(LoadArtifactTest, CorruptFileIsQuarantinedAndTyped) {
 }
 
 TEST(LoadArtifactTest, LegacyPassthroughOnlyWhenAllowed) {
+  // No reader allows it any more: an unframed (pre-framing) file is
+  // kBadMagic, and it is left in place rather than quarantined.
   TempDir tmp;
   const fs::path target = tmp.file("legacy.art");
   std::ofstream(target) << "acbm:model:v2\nold body\n";
 
   LoadReport report;
-  EXPECT_EQ(load_artifact(target, "model", 1, 3, true, &report),
-            "acbm:model:v2\nold body\n");
-  EXPECT_TRUE(report.legacy);
-  EXPECT_TRUE(fs::exists(target));  // Legacy reads never quarantine.
-
   try {
-    (void)load_artifact(target, "model", 1, 3, false);
+    (void)load_artifact(target, "model", 1, 3, &report);
     FAIL() << "expected LoadFailure";
   } catch (const LoadFailure& e) {
     EXPECT_EQ(e.code(), LoadError::kBadMagic);
   }
+  EXPECT_TRUE(fs::exists(target));
+  EXPECT_TRUE(report.clean());
 }
 
 TEST(LoadArtifactTest, NewerSchemaIsReportedButNotQuarantined) {
@@ -334,7 +332,7 @@ TEST(LoadArtifactTest, NewerSchemaIsReportedButNotQuarantined) {
   const fs::path target = tmp.file("model.art");
   save_artifact(target, "model", 9, "from the future");
   try {
-    (void)load_artifact(target, "model", 1, 3, false);
+    (void)load_artifact(target, "model", 1, 3);
     FAIL() << "expected LoadFailure";
   } catch (const LoadFailure& e) {
     EXPECT_EQ(e.code(), LoadError::kVersionUnsupported);
@@ -346,14 +344,12 @@ TEST(LoadReportTest, WriteListsEventsAndFlags) {
   LoadReport report;
   report.events.push_back({"/tmp/x.art", LoadError::kBadChecksum, "crc",
                            "/tmp/x.art.corrupt-1"});
-  report.legacy = true;
   report.generation = 2;
   std::ostringstream os;
   report.write(os);
   const std::string text = os.str();
   EXPECT_NE(text.find("bad_checksum"), std::string::npos);
   EXPECT_NE(text.find("corrupt-1"), std::string::npos);
-  EXPECT_NE(text.find("legacy"), std::string::npos);
   EXPECT_NE(text.find("generation 2"), std::string::npos);
 }
 

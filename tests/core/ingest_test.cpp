@@ -17,9 +17,11 @@
 #include <string>
 #include <vector>
 
+#include "core/artifact_map.h"
 #include "core/durable.h"
 #include "core/parallel.h"
 #include "core/robust.h"
+#include "core/serving.h"
 #include "trace/world.h"
 
 namespace acbm::core::ingest {
@@ -493,6 +495,32 @@ TEST(Ingestor, InitPublishesAModelByteIdenticalToAColdFit) {
                            ingest_world().world.ip_map));
 }
 
+TEST(Ingestor, PublishedModelCarriesTheFitDriftBaselines) {
+  TempDir tmp;
+  Ingestor ingestor(options_for(tmp.path));
+  ingestor.init(ingest_world().world.dataset, ingest_world().world.ip_map);
+  AdversaryModel model(options_for(tmp.path).model);
+  model.fit(ingestor.log().cumulative(), ingest_world().world.ip_map);
+
+  // The drift monitor's reference, read back from the published model.art.
+  const std::vector<FamilyDriftBaseline> stored = armm::drift_baselines(
+      ServingModel::load_any(ingestor.model_path()).view());
+  const std::vector<FamilyDriftBaseline>& want = model.drift_baselines();
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(stored.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(stored[i].family, want[i].family) << i;
+    EXPECT_EQ(stored[i].hours, want[i].hours) << i;
+    EXPECT_EQ(stored[i].rate_mean, want[i].rate_mean) << i;
+    EXPECT_EQ(stored[i].rate_std, want[i].rate_std) << i;
+    EXPECT_EQ(stored[i].magnitude_mean, want[i].magnitude_mean) << i;
+    EXPECT_EQ(stored[i].magnitude_std, want[i].magnitude_std) << i;
+    EXPECT_EQ(stored[i].interval_mean, want[i].interval_mean) << i;
+    EXPECT_EQ(stored[i].interval_residual_std, want[i].interval_residual_std)
+        << i;
+  }
+}
+
 TEST(Ingestor, IncrementalRefitIsByteIdenticalToColdFitAcrossThreadCounts) {
   FaultGuard guard;
   const std::size_t base_hours = 8 * 24;
@@ -581,8 +609,7 @@ TEST(Ingestor, PublicationKeepsAPreviousGenerationOnDisk) {
   ASSERT_TRUE(fs::exists(g1));
   EXPECT_EQ(durable::read_file(g1), gen1);
   // The previous generation still loads as a complete model.
-  std::ifstream is(g1, std::ios::binary);
-  EXPECT_NO_THROW((void)AdversaryModel::load_framed(is));
+  EXPECT_NO_THROW((void)ServingModel::load_any(g1));
 }
 
 TEST(Ingestor, CorruptInputsStateForcesAFullButConvergentRefit) {

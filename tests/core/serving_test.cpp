@@ -1,8 +1,8 @@
 // ServingModel tests: the mmap serving path must be BYTE-identical to the
 // batch pipeline — f64 predictions equal AdversaryModel::predict_next_attack
 // bit for bit across every target (the f32 bound lives in
-// serving_f32_test.cpp). Plus format interchange (map_file == from_image ==
-// load_any on .art and legacy streams) and concurrent predict safety.
+// serving_f32_test.cpp). Plus container interchange (map_file == from_image
+// == load_any on .armm and framed .art) and concurrent predict safety.
 #include "core/serving.h"
 
 #include <gtest/gtest.h>
@@ -138,17 +138,11 @@ TEST(ServingModel, LoadAnyReadsBothFormats) {
     std::ofstream out(art, std::ios::binary);
     f.model.save_framed(out);
   }
-  const fs::path legacy = tmp.path / "model.legacy";  // Bare, unframed.
-  {
-    std::ofstream out(legacy, std::ios::binary);
-    f.model.save(out);
-  }
   const ServingModel from_armm = ServingModel::load_any(armm);
   const ServingModel from_art = ServingModel::load_any(art);
-  // pack_model is deterministic, so every source yields the same image.
+  // model.art frames the same deterministic pack_model image.
   EXPECT_EQ(from_art.image(), from_armm.image());
-  EXPECT_EQ(ServingModel::load_any(legacy).image(), from_armm.image());
-  // The framed fallback re-packs in memory; both must serve identically.
+  // The framed copy lives in an owned buffer; both must serve identically.
   for (net::Asn asn : f.serving.targets()) {
     const auto a = from_armm.predict(asn);
     const auto b = from_art.predict(asn);

@@ -1,7 +1,8 @@
-// Durability round trips: every framed model format must (a) load back
-// bit-equal through save_framed/load_framed, (b) detect any single flipped
-// payload byte as a typed checksum failure — never a crash, never a silently
-// wrong model — and (c) still accept the legacy unframed v2/v1 streams.
+// Durability round trips: every model body must (a) load back bit-equal
+// (sub-models through save/load inside the durable frame checkpoint stages
+// use; the whole model through save_framed -> ServingModel::load_any) and
+// (b) detect any single flipped payload byte as a typed checksum failure —
+// never a crash, never a silently wrong model.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -15,6 +16,7 @@
 #include "core/features.h"
 #include "core/pipeline.h"
 #include "core/robust.h"
+#include "core/serving.h"
 #include "core/spatial_model.h"
 #include "core/spatiotemporal_model.h"
 #include "core/temporal_model.h"
@@ -76,108 +78,91 @@ void expect_corruption_detected(const std::string& framed, LoadFn load) {
   ASSERT_TRUE(durable::looks_framed(framed));
   const std::size_t payload_begin = framed.find('\n') + 1;
   ASSERT_LT(payload_begin, framed.size());
+  const auto expect_code = [&](const std::string& bytes,
+                               durable::LoadError want,
+                               const std::string& what) {
+    try {
+      load(bytes);
+      FAIL() << what << " went undetected";
+    } catch (const durable::LoadFailure& e) {
+      EXPECT_EQ(e.code(), want) << what;
+    }
+  };
   for (const std::size_t offset :
        {payload_begin, payload_begin + (framed.size() - payload_begin) / 2,
         framed.size() - 1}) {
     std::string corrupted = framed;
     corrupted[offset] ^= 0x10;
-    std::istringstream in(corrupted);
-    try {
-      load(in);
-      FAIL() << "corruption at byte " << offset << " went undetected";
-    } catch (const durable::LoadFailure& e) {
-      EXPECT_EQ(e.code(), durable::LoadError::kBadChecksum)
-          << "offset " << offset;
-    }
+    expect_code(corrupted, durable::LoadError::kBadChecksum,
+                "corruption at byte " + std::to_string(offset));
   }
 
   std::string bad_magic = framed;
   bad_magic[2] ^= 0x01;
-  std::istringstream magic_in(bad_magic);
-  // A mangled magic demotes the file to "legacy" bytes, which then fail to
-  // parse as the inner format — still a typed error, never a crash.
-  EXPECT_THROW(load(magic_in), durable::LoadFailure);
+  expect_code(bad_magic, durable::LoadError::kBadMagic, "a mangled magic");
+  expect_code(framed.substr(0, framed.size() - 7),
+              durable::LoadError::kTruncated, "truncation");
+}
 
-  std::string truncated = framed.substr(0, framed.size() - 7);
-  std::istringstream trunc_in(truncated);
-  try {
-    load(trunc_in);
-    FAIL() << "truncation went undetected";
-  } catch (const durable::LoadFailure& e) {
-    EXPECT_EQ(e.code(), durable::LoadError::kTruncated);
-  }
+/// Checkpoint stages carry each sub-model's save() body inside a durable
+/// frame; the sub-model round trips below use the same container.
+template <typename Model>
+Model load_framed_body(const std::string& bytes, std::string_view kind) {
+  std::istringstream body(durable::unwrap(bytes, kind, 1, 1));
+  return Model::load(body);
 }
 
 TEST(DurableRoundTrip, TemporalModelFramedAndLegacy) {
   const core::TemporalModel& model = fixture().temporal;
-  std::ostringstream framed_os;
-  model.save_framed(framed_os);
-  const std::string framed = framed_os.str();
+  std::ostringstream body;
+  model.save(body);
+  const std::string framed = durable::frame_payload("temporal", 1, body.str());
 
-  std::istringstream in(framed);
-  const core::TemporalModel back = core::TemporalModel::load_framed(in);
+  const auto back = load_framed_body<core::TemporalModel>(framed, "temporal");
   std::ostringstream again;
-  back.save_framed(again);
-  EXPECT_EQ(again.str(), framed);  // Bit-stable round trip.
+  back.save(again);
+  EXPECT_EQ(again.str(), body.str());  // Bit-stable round trip.
+  EXPECT_EQ(back.fitted(), model.fitted());
 
-  // Legacy bare v2 text still loads.
-  std::ostringstream legacy_os;
-  model.save(legacy_os);
-  std::istringstream legacy_in(legacy_os.str());
-  const core::TemporalModel legacy = core::TemporalModel::load_framed(legacy_in);
-  EXPECT_EQ(legacy.fitted(), model.fitted());
-
-  expect_corruption_detected(framed, [](std::istream& is) {
-    (void)core::TemporalModel::load_framed(is);
+  expect_corruption_detected(framed, [](const std::string& bytes) {
+    (void)load_framed_body<core::TemporalModel>(bytes, "temporal");
   });
 }
 
 TEST(DurableRoundTrip, SpatialModelFramedAndLegacy) {
   const core::SpatialModel& model = fixture().spatial;
   ASSERT_TRUE(model.fitted());
-  std::ostringstream framed_os;
-  model.save_framed(framed_os);
-  const std::string framed = framed_os.str();
+  std::ostringstream body;
+  model.save(body);
+  const std::string framed = durable::frame_payload("spatial", 1, body.str());
 
-  std::istringstream in(framed);
-  const core::SpatialModel back = core::SpatialModel::load_framed(in);
+  const auto back = load_framed_body<core::SpatialModel>(framed, "spatial");
   std::ostringstream again;
-  back.save_framed(again);
-  EXPECT_EQ(again.str(), framed);
+  back.save(again);
+  EXPECT_EQ(again.str(), body.str());
+  EXPECT_EQ(back.target_asn(), model.target_asn());
 
-  std::ostringstream legacy_os;
-  model.save(legacy_os);
-  std::istringstream legacy_in(legacy_os.str());
-  const core::SpatialModel legacy = core::SpatialModel::load_framed(legacy_in);
-  EXPECT_EQ(legacy.target_asn(), model.target_asn());
-
-  expect_corruption_detected(framed, [](std::istream& is) {
-    (void)core::SpatialModel::load_framed(is);
+  expect_corruption_detected(framed, [](const std::string& bytes) {
+    (void)load_framed_body<core::SpatialModel>(bytes, "spatial");
   });
 }
 
 TEST(DurableRoundTrip, SpatiotemporalModelFramedAndLegacy) {
   const core::SpatiotemporalModel& model = fixture().adversary.spatiotemporal();
-  std::ostringstream framed_os;
-  model.save_framed(framed_os);
-  const std::string framed = framed_os.str();
+  std::ostringstream body;
+  model.save(body);
+  const std::string framed =
+      durable::frame_payload("spatiotemporal", 1, body.str());
 
-  std::istringstream in(framed);
-  const core::SpatiotemporalModel back =
-      core::SpatiotemporalModel::load_framed(in);
+  const auto back =
+      load_framed_body<core::SpatiotemporalModel>(framed, "spatiotemporal");
   std::ostringstream again;
-  back.save_framed(again);
-  EXPECT_EQ(again.str(), framed);
+  back.save(again);
+  EXPECT_EQ(again.str(), body.str());
+  EXPECT_EQ(back.fitted(), model.fitted());
 
-  std::ostringstream legacy_os;
-  model.save(legacy_os);
-  std::istringstream legacy_in(legacy_os.str());
-  const core::SpatiotemporalModel legacy =
-      core::SpatiotemporalModel::load_framed(legacy_in);
-  EXPECT_EQ(legacy.fitted(), model.fitted());
-
-  expect_corruption_detected(framed, [](std::istream& is) {
-    (void)core::SpatiotemporalModel::load_framed(is);
+  expect_corruption_detected(framed, [](const std::string& bytes) {
+    (void)load_framed_body<core::SpatiotemporalModel>(bytes, "spatiotemporal");
   });
 }
 
@@ -186,13 +171,19 @@ TEST(DurableRoundTrip, AdversaryModelFramedPredictsIdentically) {
   std::ostringstream framed_os;
   model.save_framed(framed_os);
   const std::string framed = framed_os.str();
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("acbm_roundtrip_model_" + std::to_string(::getpid()) + ".art");
+  const auto load_any_bytes = [&path](const std::string& bytes) {
+    durable::atomic_write_file(path, bytes);
+    return core::ServingModel::load_any(path);
+  };
 
-  std::istringstream in(framed);
-  const core::AdversaryModel back = core::AdversaryModel::load_framed(in);
-  ASSERT_TRUE(back.fitted());
+  const core::ServingModel back = load_any_bytes(framed);
+  ASSERT_TRUE(back.loaded());
   for (net::Asn asn : model.dataset().target_asns()) {
     const auto a = model.predict_next_attack(asn);
-    const auto b = back.predict_next_attack(asn);
+    const auto b = back.predict(asn);
     ASSERT_EQ(a.has_value(), b.has_value()) << "AS " << asn;
     if (!a) continue;
     EXPECT_DOUBLE_EQ(a->magnitude, b->magnitude) << "AS " << asn;
@@ -200,16 +191,10 @@ TEST(DurableRoundTrip, AdversaryModelFramedPredictsIdentically) {
     EXPECT_EQ(a->start, b->start) << "AS " << asn;
   }
 
-  // Legacy bare v1 text still loads.
-  std::ostringstream legacy_os;
-  model.save(legacy_os);
-  std::istringstream legacy_in(legacy_os.str());
-  const core::AdversaryModel legacy = core::AdversaryModel::load_framed(legacy_in);
-  EXPECT_TRUE(legacy.fitted());
-
-  expect_corruption_detected(framed, [](std::istream& is) {
-    (void)core::AdversaryModel::load_framed(is);
+  expect_corruption_detected(framed, [&](const std::string& bytes) {
+    (void)load_any_bytes(bytes);
   });
+  std::filesystem::remove(path);
 }
 
 TEST(DurableRoundTrip, DirsyncFaultLeavesOldOrNewContentNeverPartial) {
@@ -233,14 +218,14 @@ TEST(DurableRoundTrip, DirsyncFaultLeavesOldOrNewContentNeverPartial) {
   injector.clear();
   durable::LoadReport report;
   const std::string payload =
-      durable::load_artifact(target, "model", 1, 1, false, &report);
+      durable::load_artifact(target, "model", 1, 1, &report);
   EXPECT_TRUE(payload == "generation one" || payload == "generation two");
   EXPECT_TRUE(report.clean());
   EXPECT_FALSE(fs::exists(dir / "model.art.tmp"));
 
   // Retrying the same write converges: the new generation publishes.
   durable::save_artifact(target, "model", 1, "generation two");
-  EXPECT_EQ(durable::load_artifact(target, "model", 1, 1, false),
+  EXPECT_EQ(durable::load_artifact(target, "model", 1, 1),
             "generation two");
   std::error_code ec;
   fs::remove_all(dir, ec);
@@ -256,12 +241,8 @@ TEST(DurableRoundTrip, DatasetArtifactDetectsCorruption) {
   const trace::Dataset back = trace::Dataset::load_csv(body);
   EXPECT_EQ(back.size(), fixture().world.dataset.size());
 
-  expect_corruption_detected(framed, [](std::istream& is) {
-    const std::string data = durable::read_stream(is);
-    if (!durable::looks_framed(data)) {
-      throw durable::LoadFailure(durable::LoadError::kBadMagic, "not framed");
-    }
-    std::istringstream payload(durable::unwrap(data, "dataset", 1, 1));
+  expect_corruption_detected(framed, [](const std::string& bytes) {
+    std::istringstream payload(durable::unwrap(bytes, "dataset", 1, 1));
     (void)trace::Dataset::load_csv(payload);
   });
 }

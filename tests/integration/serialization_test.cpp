@@ -1,11 +1,17 @@
-// Serialization round trips: every fitted model must predict identically
-// after save -> load through a text stream.
+// Serialization round trips: every fitted sub-model must predict
+// identically after save -> load through a text stream, and the whole model
+// after save_framed -> ServingModel::load_any.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <bit>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "core/pipeline.h"
+#include "core/serving.h"
 #include "nn/nar.h"
 #include "stats/ols.h"
 #include "stats/rng.h"
@@ -111,25 +117,42 @@ TEST(Serialization, AdversaryModelFullRoundTrip) {
   const auto [train, test] = world.dataset.split(0.8);
   model.fit(train, world.ip_map);
 
-  std::stringstream ss;
-  model.save(ss);
-  const core::AdversaryModel back = core::AdversaryModel::load(ss);
-  EXPECT_TRUE(back.fitted());
-  EXPECT_EQ(back.dataset().size(), train.size());
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("acbm_serialization_" + std::to_string(::getpid()) + ".art");
+  {
+    std::ofstream out(path, std::ios::binary);
+    model.save_framed(out);
+  }
+  const core::ServingModel back = core::ServingModel::load_any(path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(back.targets().size(), train.target_asns().size());
 
-  // Every target's prediction must match exactly.
+  // Every target's f64 forecast must match the fitted model bit for bit.
   for (net::Asn asn : train.target_asns()) {
     const auto a = model.predict_next_attack(asn);
-    const auto b = back.predict_next_attack(asn);
+    const auto b = back.predict(asn, core::Precision::kF64);
     ASSERT_EQ(a.has_value(), b.has_value()) << "AS " << asn;
     if (!a) continue;
-    EXPECT_DOUBLE_EQ(a->magnitude, b->magnitude) << "AS " << asn;
-    EXPECT_DOUBLE_EQ(a->duration_s, b->duration_s) << "AS " << asn;
-    EXPECT_DOUBLE_EQ(a->hour, b->hour) << "AS " << asn;
-    EXPECT_DOUBLE_EQ(a->day, b->day) << "AS " << asn;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a->magnitude),
+              std::bit_cast<std::uint64_t>(b->magnitude)) << "AS " << asn;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a->magnitude_sd),
+              std::bit_cast<std::uint64_t>(b->magnitude_sd)) << "AS " << asn;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a->duration_s),
+              std::bit_cast<std::uint64_t>(b->duration_s)) << "AS " << asn;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a->hour),
+              std::bit_cast<std::uint64_t>(b->hour)) << "AS " << asn;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a->day),
+              std::bit_cast<std::uint64_t>(b->day)) << "AS " << asn;
     EXPECT_EQ(a->start, b->start) << "AS " << asn;
     EXPECT_EQ(a->assumed_family, b->assumed_family) << "AS " << asn;
-    EXPECT_EQ(a->source_distribution.size(), b->source_distribution.size());
+    ASSERT_EQ(a->source_distribution.size(), b->source_distribution.size());
+    for (const auto& [src, share] : a->source_distribution) {
+      ASSERT_EQ(b->source_distribution.count(src), 1U) << "AS " << asn;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(share),
+                std::bit_cast<std::uint64_t>(b->source_distribution.at(src)))
+          << "AS " << asn << " src " << src;
+    }
   }
 }
 
